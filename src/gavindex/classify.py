@@ -766,6 +766,16 @@ def _box_s5(iota: int, bound: int) -> list[Params]:
     return hits
 
 
+@lru_cache(maxsize=4096)
+def _box_survivor_accepted(setting_id: int, values: Params, index: int) -> bool:
+    """Verification verdict of one tuple left by a box scan's filter.
+
+    Scans of nested or overlapping boxes keep the same few tuples, so
+    the verdicts are kept between scans.
+    """
+    return verify(setting_id, values, index).accepted
+
+
 def brute_force_box(setting_id: int, index: int, bound: int) -> tuple[Params, ...]:
     """Exhaustive scan of the parameter box, independent of the bounds.
 
@@ -790,7 +800,7 @@ def brute_force_box(setting_id: int, index: int, bound: int) -> tuple[Params, ..
     else:
         raw = _box_s5(index, bound)
     return tuple(
-        sorted(v for v in raw if verify(spec.id, v, index).accepted)
+        sorted(v for v in raw if _box_survivor_accepted(spec.id, v, index))
     )
 
 

@@ -1,18 +1,22 @@
 """Exact integer and rational linear algebra.
 
-Everything in this module works over plain Python integers and
-:class:`fractions.Fraction`; no floating point is used anywhere.
-Matrices are immutable tuples of row tuples, vectors are plain tuples.
+The routines compute on plain Python integers: Hermite and Smith forms
+by Euclidean row and column reduction, ranks, kernel lines and rational
+solves by fraction-free elimination.  :class:`fractions.Fraction`
+appears only where a rational value enters (rows are first scaled to
+integers) or leaves (the entries of a rational solution).  No floating
+point is used anywhere.  Matrices are immutable tuples of row tuples,
+vectors are plain tuples.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Sequence
-
-import sympy
-from sympy.matrices.normalforms import smith_normal_decomp
 
 Rat = Fraction
 
@@ -28,7 +32,7 @@ def as_matrix(rows: Iterable[Sequence[int]]) -> IntMat:
 def dot(u: Sequence, v: Sequence):
     if len(u) != len(v):
         raise ValueError(f"dimension mismatch: {len(u)} vs {len(v)}")
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(operator.mul, u, v))
 
 
 def mat_vec(m: Sequence[Sequence], v: Sequence) -> tuple:
@@ -45,7 +49,7 @@ def primitive(v: Sequence[int]) -> IntVec:
 
     The zero vector is returned unchanged.
     """
-    g = math.gcd(*(abs(x) for x in v)) if v else 0
+    g = math.gcd(*v) if v else 0
     if g in (0, 1):
         return tuple(int(x) for x in v)
     return tuple(int(x) // g for x in v)
@@ -53,6 +57,8 @@ def primitive(v: Sequence[int]) -> IntVec:
 
 def clear_denominators(v: Sequence[Rat | int]) -> IntVec:
     """Scale a rational vector by a positive integer to the primitive integer vector on the same ray."""
+    if all(type(x) is int for x in v):
+        return primitive(v)
     den = math.lcm(*(Fraction(x).denominator for x in v)) if v else 1
     return primitive(tuple(int(Fraction(x) * den) for x in v))
 
@@ -63,6 +69,43 @@ def identity(k: int) -> IntMat:
 
 def _swap(rows: list[list[int]], i: int, j: int) -> None:
     rows[i], rows[j] = rows[j], rows[i]
+
+
+def _reduce_column(rows: list[list[int]], u: list[list[int]], top: int, col: int) -> bool:
+    """Euclidean row reduction of one column below row ``top``.
+
+    Leaves the gcd of rows[top:][col] (up to sign) in rows[top][col] and
+    zeros below it, applying every row operation to ``u`` as well.
+    Returns False when the column is already zero from ``top`` down.
+    """
+    nrows = len(rows)
+    while True:
+        nonzero = [i for i in range(top, nrows) if rows[i][col] != 0]
+        if not nonzero:
+            return False
+        best = min(nonzero, key=lambda i: abs(rows[i][col]))
+        if best != top:
+            _swap(rows, top, best)
+            _swap(u, top, best)
+        if len(nonzero) == 1:
+            # after the swap the single nonzero entry sits in the top row
+            return True
+        p = rows[top][col]
+        done = True
+        for i in range(top + 1, nrows):
+            if rows[i][col] != 0:
+                q = rows[i][col] // p
+                rows[i] = [a - q * b for a, b in zip(rows[i], rows[top])]
+                u[i] = [a - q * b for a, b in zip(u[i], u[top])]
+                if rows[i][col] != 0:
+                    done = False
+        if done:
+            return True
+
+
+def _negate_row(rows: list[list[int]], u: list[list[int]], i: int) -> None:
+    rows[i] = [-a for a in rows[i]]
+    u[i] = [-a for a in u[i]]
 
 
 def hnf(m: Sequence[Sequence[int]]) -> tuple[IntMat, IntMat]:
@@ -80,33 +123,10 @@ def hnf(m: Sequence[Sequence[int]]) -> tuple[IntMat, IntMat]:
     for col in range(ncols):
         if pivot_row >= nrows:
             break
-        while True:
-            nonzero = [i for i in range(pivot_row, nrows) if rows[i][col] != 0]
-            if not nonzero:
-                break
-            best = min(nonzero, key=lambda i: abs(rows[i][col]))
-            if best != pivot_row:
-                _swap(rows, pivot_row, best)
-                _swap(u, pivot_row, best)
-            if len(nonzero) == 1:
-                # after the swap the single nonzero entry sits in the pivot row
-                break
-            p = rows[pivot_row][col]
-            done = True
-            for i in range(pivot_row + 1, nrows):
-                if rows[i][col] != 0:
-                    q = rows[i][col] // p
-                    rows[i] = [a - q * b for a, b in zip(rows[i], rows[pivot_row])]
-                    u[i] = [a - q * b for a, b in zip(u[i], u[pivot_row])]
-                    if rows[i][col] != 0:
-                        done = False
-            if done:
-                break
-        if rows[pivot_row][col] == 0:
+        if not _reduce_column(rows, u, pivot_row, col):
             continue
         if rows[pivot_row][col] < 0:
-            rows[pivot_row] = [-a for a in rows[pivot_row]]
-            u[pivot_row] = [-a for a in u[pivot_row]]
+            _negate_row(rows, u, pivot_row)
         p = rows[pivot_row][col]
         for i in range(pivot_row):
             q = rows[i][col] // p
@@ -118,59 +138,195 @@ def hnf(m: Sequence[Sequence[int]]) -> tuple[IntMat, IntMat]:
     return h, tuple(tuple(row) for row in u)
 
 
+def _transposed(rows: list[list[int]]) -> list[list[int]]:
+    return [list(col) for col in zip(*rows)]
+
+
 def snf(m: Sequence[Sequence[int]]) -> tuple[IntMat, IntMat, IntMat]:
     """Smith normal form with transformations.
 
     Returns (S, U, V) with U, V unimodular and S = U @ m @ V diagonal,
     diagonal entries nonnegative and each dividing the next.
+
+    Position t of the diagonal is cleared with the row reduction of
+    ``hnf`` on the matrix (recorded in U) and the same reduction on its
+    transpose, which is a column reduction (recorded in the transpose of
+    V), alternating until row t and column t are zero off the diagonal.
+    When the pivot does not divide the rest of the matrix, a row that it
+    does not divide is added to row t and the pivot shrinks on the next
+    pass.
     """
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
     if nrows == 0 or ncols == 0:
         return tuple(tuple(row) for row in m), identity(nrows), identity(ncols)
-    s_sym, u_sym, v_sym = smith_normal_decomp(sympy.Matrix([list(row) for row in m]))
-    s = [[int(x) for x in row] for row in s_sym.tolist()]
-    u = [[int(x) for x in row] for row in u_sym.tolist()]
-    v = [[int(x) for x in row] for row in v_sym.tolist()]
-    for i in range(min(nrows, ncols)):
-        if s[i][i] < 0:
-            s[i][i] = -s[i][i]
-            u[i] = [-x for x in u[i]]
-    st = tuple(tuple(row) for row in s)
+    a = [[int(x) for x in row] for row in m]
+    u = [list(row) for row in identity(nrows)]
+    vt = [list(row) for row in identity(ncols)]
+    for t in range(min(nrows, ncols)):
+        while True:
+            if not any(a[i][t] for i in range(t, nrows)) and not any(a[t][t + 1 :]):
+                # row t and column t are zero from the diagonal on: bring in a nonzero column
+                col = next(
+                    (j for j in range(t + 1, ncols) if any(a[i][j] for i in range(t, nrows))),
+                    None,
+                )
+                if col is None:
+                    break
+                for row in a:
+                    row[t], row[col] = row[col], row[t]
+                _swap(vt, t, col)
+            _reduce_column(a, u, t, t)
+            at = _transposed(a)
+            _reduce_column(at, vt, t, t)
+            a = _transposed(at)
+            if any(a[i][t] for i in range(t + 1, nrows)):
+                continue
+            p = a[t][t]
+            bad = next(
+                (
+                    i
+                    for i in range(t + 1, nrows)
+                    if any(a[i][j] % p for j in range(t + 1, ncols))
+                ),
+                None,
+            )
+            if bad is None:
+                break
+            a[t] = [x + y for x, y in zip(a[t], a[bad])]
+            u[t] = [x + y for x, y in zip(u[t], u[bad])]
+        if a[t][t] < 0:
+            _negate_row(a, u, t)
+    st = tuple(tuple(row) for row in a)
     ut = tuple(tuple(row) for row in u)
-    vt = tuple(tuple(row) for row in v)
-    if mat_mul(mat_mul(ut, as_matrix(m)), vt) != st:
+    v = transpose(vt)
+    if mat_mul(mat_mul(ut, as_matrix(m)), v) != st:
         raise AssertionError("smith decomposition certificate failed")
+    if any(st[i][j] for i in range(nrows) for j in range(ncols) if i != j):
+        raise AssertionError("smith form is not diagonal")
     diag = [st[i][i] for i in range(min(nrows, ncols))]
-    for a, b in zip(diag, diag[1:]):
-        if a != 0 and b % a != 0:
+    if any(d < 0 for d in diag):
+        raise AssertionError("smith diagonal has a negative entry")
+    for x, y in zip(diag, diag[1:]):
+        if x != 0 and y % x != 0:
             raise AssertionError("smith diagonal divisibility failed")
-        if a == 0 and b != 0:
+        if x == 0 and y != 0:
             raise AssertionError("smith diagonal ordering failed")
-    return st, ut, vt
+    return st, ut, v
+
+
+def _bareiss(
+    a: list[list[int]], reduce_above: bool = False, limit: int | None = None
+) -> list[int]:
+    """Fraction-free (Bareiss) elimination of an integer matrix in place.
+
+    Returns the pivot columns; the first len(pivots) rows are the pivot
+    rows.  Each step replaces a row by (p * row - f * pivot_row) / prev,
+    with p the new pivot and prev the one before it; the division is
+    exact because every entry stays a minor of the input.  With
+    ``reduce_above`` rows above the pivot are cleared too (Gauss-Jordan),
+    and every pivot ends equal to the last one.  Pivots are sought in
+    the first ``limit`` columns only, when given.
+    """
+    nrows = len(a)
+    ncols = len(a[0]) if nrows else 0
+    if limit is not None:
+        ncols = min(ncols, limit)
+    pivots: list[int] = []
+    prev = 1
+    r = 0
+    for col in range(ncols):
+        if r == nrows:
+            break
+        piv = next((i for i in range(r, nrows) if a[i][col]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        prow = a[r]
+        p = prow[col]
+        for i in range(0 if reduce_above else r + 1, nrows):
+            if i != r:
+                f = a[i][col]
+                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], prow)]
+        prev = p
+        pivots.append(col)
+        r += 1
+    return pivots
+
+
+def _integer_rows(m: Sequence[Sequence[int | Rat]]) -> list[list[int]]:
+    """Each row scaled by a positive integer to integer entries (row spaces and kernels are kept)."""
+    return [list(clear_denominators(row)) for row in m]
 
 
 def rank(m: Sequence[Sequence[int | Rat]]) -> int:
-    """Rank of a rational matrix, by fraction-free style Gaussian elimination over Fraction."""
-    rows = [[Fraction(x) for x in row] for row in m]
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    r = 0
-    for col in range(ncols):
-        piv = next((i for i in range(r, nrows) if rows[i][col] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][col]
-        rows[r] = [a * inv for a in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        r += 1
-        if r == nrows:
-            break
-    return r
+    """Rank of a rational matrix, by fraction-free elimination of its rows cleared of denominators."""
+    return len(_bareiss(_integer_rows(m)))
+
+
+@lru_cache(maxsize=None)
+def _minor_plans(d: int) -> tuple:
+    """Laplace expansion plans for the minors of t rows of a d-column matrix.
+
+    Level t lists, for every (t+1)-subset of columns in lexicographic
+    order, the terms (sign, column, position of the t-subset left when
+    the column is removed) that expand its minor along the newest row.
+    """
+    plans = []
+    prev = {(): 0}
+    for t in range(1, d):
+        subsets = list(itertools.combinations(range(d), t))
+        plan = []
+        for cols in subsets:
+            terms = []
+            for i, c in enumerate(cols):
+                terms.append((-1 if i % 2 else 1, c, prev[cols[:i] + cols[i + 1 :]]))
+            plan.append(tuple(terms))
+        plans.append(tuple(plan))
+        prev = {cols: k for k, cols in enumerate(subsets)}
+    return tuple(plans)
+
+
+def subset_kernel_lines(rows: Sequence[Sequence[int]]) -> list[IntVec]:
+    """Kernel lines of all (d-1)-subsets of rows of length d that have rank d-1.
+
+    For each such subset, in ``itertools.combinations`` order, the
+    primitive generator of {x : <row, x> = 0 for the rows of the subset},
+    with its first nonzero entry positive.  The generator is the vector
+    of signed maximal minors (a generalised cross product).  Subsets are
+    grown one row at a time and share the minors of their common prefix;
+    a prefix whose minors all vanish is dependent and is not extended.
+    """
+    if not rows:
+        return []
+    d = len(rows[0])
+    need = d - 1
+    if need == 0:
+        return [(1,)]
+    plans = _minor_plans(d)
+    n = len(rows)
+    out: list[IntVec] = []
+
+    def extend(start: int, prev: list[int], t: int) -> None:
+        plan = plans[t]
+        last = t + 1 == need
+        for i in range(start, n - need + t + 1):
+            row = rows[i]
+            cur = [sum(s * row[c] * prev[k] for s, c, k in terms) for terms in plan]
+            if not any(cur):
+                continue
+            if not last:
+                extend(i + 1, cur, t + 1)
+                continue
+            # the minor without column j sits at position d-1-j
+            x = [-cur[d - 1 - j] if j % 2 else cur[d - 1 - j] for j in range(d)]
+            g = math.gcd(*x)
+            if next(v for v in x if v) < 0:
+                g = -g
+            out.append(tuple(v // g for v in x))
+
+    extend(0, [1], 0)
+    return out
 
 
 def transpose(m: Sequence[Sequence]) -> tuple:
@@ -211,34 +367,24 @@ def saturate(vectors: Sequence[Sequence[int]]) -> IntMat:
 def solve_rational(m: Sequence[Sequence[int | Rat]], b: Sequence[int | Rat]) -> RatVec | None:
     """One rational solution of m @ x = b, or None when the system is inconsistent.
 
-    Free variables are set to zero.
+    Free variables are set to zero.  The augmented rows are cleared of
+    denominators and reduced by fraction-free Gauss-Jordan elimination,
+    so the only fractions made are the entries of the answer.
     """
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
     if len(b) != nrows:
         raise ValueError("right hand side length does not match row count")
-    rows = [[Fraction(x) for x in row] + [Fraction(bv)] for row, bv in zip(m, b)]
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for col in range(ncols):
-        piv = next((i for i in range(r, nrows) if rows[i][col] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][col]
-        rows[r] = [a * inv for a in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [a - f * w for a, w in zip(rows[i], rows[r])]
-        pivots.append((r, col))
-        r += 1
-    for i in range(r, nrows):
-        if rows[i][ncols] != 0:
-            return None
+    a = _integer_rows([tuple(row) + (bv,) for row, bv in zip(m, b)])
+    pivots = _bareiss(a, reduce_above=True, limit=ncols)
+    r = len(pivots)
+    if any(a[i][ncols] for i in range(r, nrows)):
+        return None
     x = [Fraction(0)] * ncols
-    for row_i, col_i in pivots:
-        x[col_i] = rows[row_i][ncols]
+    if pivots:
+        d = a[r - 1][pivots[-1]]
+        for i, col in enumerate(pivots):
+            x[col] = Fraction(a[i][ncols], d)
     return tuple(x)
 
 

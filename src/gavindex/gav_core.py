@@ -19,6 +19,7 @@ from .exactla import (
     IntMat,
     IntVec,
     Rat,
+    lattice_key,
     mat_vec,
     primitive,
     rank,
@@ -262,25 +263,24 @@ class DegreeData:
 def degree_map(data: ArrangementData) -> DegreeData:
     """Presentation of the grading group as cokernel of the transpose of P.
 
-    Free coordinates come from the rows of the Smith transformation
-    beyond the rank; torsion coordinates from rows with elementary
-    divisor greater than one.
+    The Smith form is taken of the Hermite basis of the row lattice of
+    P, so the result depends on that lattice only, not on how P is
+    written.  Free coordinates are the Hermite basis of the integral
+    kernel of P, spanned by the rows of the Smith transformation beyond
+    the rank; it does not depend on the Smith form's pivot order.
+    Torsion coordinates come from the rows with elementary divisor
+    greater than one, reduced modulo that divisor.
     """
-    pt = transpose(data.p)
-    s_mat, u, _ = snf(pt)
-    ncols = data.ambient_dim
+    h = lattice_key(data.p)
+    s_mat, u, _ = snf(transpose(h))
     nrows = data.num_cols
-    diag = [s_mat[i][i] for i in range(min(nrows, ncols))]
+    diag = [s_mat[i][i] for i in range(min(nrows, len(h)))]
     rho = sum(1 for d in diag if d != 0)
-    free_rows = [list(u[i]) for i in range(rho, nrows)]
-    # orient each free row so the first nonzero degree entry is positive
-    for row in free_rows:
-        lead = next((row[j] for j in range(nrows) if row[j] != 0), 0)
-        if lead < 0:
-            row[:] = [-x for x in row]
-    q_free = tuple(tuple(row) for row in free_rows)
+    q_free = lattice_key(u[rho:])
     torsion = tuple(diag[i] for i in range(rho) if diag[i] > 1)
-    q_tors = tuple(u[i] for i in range(rho) if diag[i] > 1)
+    q_tors = tuple(
+        tuple(x % diag[i] for x in u[i]) for i in range(rho) if diag[i] > 1
+    )
     for prow in data.p:
         if any(v != 0 for v in mat_vec(q_free, prow)):
             raise AssertionError("free part of the grading does not kill P")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -29,8 +30,10 @@ from .exactla import (
     lattice_key,
     min_integral_multiplier,
     primitive,
+    rank,
     saturate,
     solve_rational,
+    subset_kernel_lines,
     transpose,
 )
 
@@ -74,74 +77,81 @@ class Cone:
         return (self.ambient, self.equations, self.normals)
 
 
-def _rank_int(rows: Sequence[Sequence[int]]) -> int:
-    return len(lattice_key(rows)) if rows else 0
-
-
-def _gram_project(vec: Sequence[Rat | int], basis: IntMat) -> RatVec:
-    """Orthogonal projection of vec onto the rational span of the basis rows."""
-    if not basis:
-        return tuple(Fraction(0) for _ in vec)
+def _gram_solution(basis: IntMat, rhs: Sequence[int]) -> tuple[int, IntVec]:
+    """(den, Y) with Y / den the solution y of (basis @ basis^T) y = rhs, den > 0."""
     gram = tuple(tuple(dot(a, b) for b in basis) for a in basis)
-    rhs = tuple(dot(a, vec) for a in basis)
     y = solve_rational(gram, rhs)
     if y is None:
         raise AssertionError("gram system must be solvable")
-    return tuple(
-        sum((yi * Fraction(bi[j]) for yi, bi in zip(y, basis)), Fraction(0))
-        for j in range(len(vec))
-    )
+    den = math.lcm(*(yi.denominator for yi in y))
+    return den, tuple(int(yi * den) for yi in y)
+
+
+def _combine(coeffs: Sequence[int], basis: IntMat) -> IntVec:
+    return tuple(sum(c * b[j] for c, b in zip(coeffs, basis)) for j in range(len(basis[0])))
 
 
 def _canonical_ray(g: Sequence[int], lineality: IntMat) -> IntVec:
-    """Primitive representative of the ray of g modulo the lineality space."""
+    """Primitive representative of the ray of g modulo the lineality space.
+
+    Subtracts the orthogonal projection of g onto the lineality space,
+    scaled by the positive common denominator of its coefficients.
+    """
     if not lineality:
         return primitive(g)
-    proj = _gram_project(g, lineality)
-    return clear_denominators(tuple(Fraction(a) - b for a, b in zip(g, proj)))
+    den, coeffs = _gram_solution(lineality, tuple(dot(a, g) for a in lineality))
+    proj = _combine(coeffs, lineality)
+    return primitive(tuple(den * a - b for a, b in zip(g, proj)))
 
 
 @lru_cache(maxsize=1 << 17)
 def _facet_normals(pool: IntMat, equations: IntMat, ambient: int) -> IntMat:
     """Facet normals of cone(pool), canonicalized inside the span.
 
-    Every facet is spanned by pool vectors lying on it, so candidates are
-    read off rank-(d-1) subsets; a candidate survives when it does not
-    change sign across the pool.
+    Works on integer coordinates of the pool with respect to a saturated
+    basis of its span, cleared of denominators once; a positive rescaling
+    keeps every sign.  Every facet is spanned by pool vectors lying on
+    it, so candidates are the kernel lines of the rank-(d-1) subsets of
+    d-1 pool vectors, d the span dimension.  A candidate survives when
+    it does not change sign across the pool.  Many subsets span the same
+    facet, so each candidate line is tested and lifted once.
     """
     span_dim = ambient - len(equations)
     if span_dim <= 0:
         return ()
     basis = saturate(pool)
-    full_dim = len(basis) == ambient and basis == identity(ambient)
-    coords = []
-    for g in pool:
-        if full_dim:
-            coords.append(tuple(Fraction(x) for x in g))
-        else:
+    if len(basis) == ambient:
+        # a full-dimensional pool saturates to the standard basis
+        coords = pool
+    else:
+        coords = []
+        basis_t = transpose(basis)
+        for g in pool:
             # coordinates with respect to the saturated basis are integral
-            sol = solve_rational(transpose(basis), g)
+            sol = solve_rational(basis_t, g)
             if sol is None:
                 raise AssertionError("generator outside its own span")
-            coords.append(sol)
+            coords.append(clear_denominators(sol))
+    seen: set[IntVec] = set()
     found: set[IntVec] = set()
-    for subset in itertools.combinations(range(len(pool)), span_dim - 1):
-        t_rows = tuple(clear_denominators(coords[i]) for i in subset)
-        if _rank_int(t_rows) != span_dim - 1:
+    for nu_coord in subset_kernel_lines(coords):
+        if nu_coord in seen:
             continue
-        kern = integer_kernel(t_rows) if t_rows else identity(span_dim)
-        if len(kern) != 1:
-            continue
-        nu_coord = kern[0]
-        values = [dot(nu_coord, c) for c in coords]
-        has_pos = any(v > 0 for v in values)
-        has_neg = any(v < 0 for v in values)
+        seen.add(nu_coord)
+        has_pos = has_neg = False
+        for c in coords:
+            v = sum(map(operator.mul, nu_coord, c))
+            if v > 0:
+                has_pos = True
+            elif v < 0:
+                has_neg = True
+            if has_pos and has_neg:
+                break
         if has_pos and has_neg:
             continue
         if has_neg:
             nu_coord = tuple(-x for x in nu_coord)
-        nu_ambient = _lift_form(nu_coord, basis, ambient)
-        found.add(nu_ambient)
+        found.add(_lift_form(nu_coord, basis, ambient))
     return tuple(sorted(found))
 
 
@@ -154,15 +164,9 @@ def _lift_form(nu_coord: Sequence[int], basis: IntMat, ambient: int) -> IntVec:
     """
     if len(basis) == ambient:
         return primitive(nu_coord)
-    gram = tuple(tuple(dot(a, b) for b in basis) for a in basis)
-    y = solve_rational(gram, nu_coord)
-    if y is None:
-        raise AssertionError("gram system must be solvable")
-    vec = tuple(
-        sum((yi * Fraction(bi[j]) for yi, bi in zip(y, basis)), Fraction(0))
-        for j in range(ambient)
-    )
-    return clear_denominators(vec)
+    # the positive denominator only rescales the lifted vector
+    _, coeffs = _gram_solution(basis, nu_coord)
+    return primitive(_combine(coeffs, basis))
 
 
 def cone_from_generators(
@@ -215,7 +219,7 @@ def _extreme_rays(
     rays: set[IntVec] = set()
     for g in pool:
         tight = tuple(nu for nu in normals if dot(nu, g) == 0)
-        face_dim = ambient - _rank_int(equations + tight)
+        face_dim = ambient - rank(equations + tight)
         if face_dim == dim_lin + 1:
             rays.add(_canonical_ray(g, lin_basis))
     return tuple(sorted(rays))

@@ -252,6 +252,27 @@ def test_box_setting_one():
     assert brute_force_box(1, 1, 60) == ((2, 3, -3),)
 
 
+def test_repeated_box_scan_reuses_verdicts(monkeypatch):
+    from gavindex import classify
+
+    calls = []
+
+    def counting(setting_id, params):
+        calls.append((setting_id, tuple(params)))
+        return instantiate(setting_id, params)
+
+    classify._box_survivor_accepted.cache_clear()
+    monkeypatch.setattr(classify, "instantiate", counting)
+    first = brute_force_box(5, 1, 60)
+    made = len(calls)
+    assert made > 0
+    assert len(set(calls)) == made
+    # a smaller box filters down to a subset of the same survivors
+    assert brute_force_box(5, 1, 60) == first
+    assert brute_force_box(5, 1, 40) == tuple(v for v in first if max(map(abs, v)) <= 40)
+    assert len(calls) == made
+
+
 def test_box_rejects_bad_input():
     with pytest.raises(ValueError):
         brute_force_box(5, 1, 0)

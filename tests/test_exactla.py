@@ -6,8 +6,12 @@ brute force before the implementation was written.
 
 from __future__ import annotations
 
+import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -27,6 +31,7 @@ from gavindex.exactla import (
     saturate,
     snf,
     solve_rational,
+    subset_kernel_lines,
 )
 
 
@@ -293,3 +298,176 @@ def test_lattice_key_mod_out_basis_choice():
 def test_lcm_behavior_reference():
     # kept as a guard: the library relies on math.lcm accepting multiple args
     assert math.lcm(4, 1, 3) == 12
+
+
+# ---------------------------------------------------------------------------
+# Smith form against determinantal divisors, with the test's own elimination
+
+
+def _frac_det(m) -> int:
+    """Determinant of a square integer matrix by Gaussian elimination over Fraction."""
+    rows = [[Fraction(x) for x in row] for row in m]
+    k = len(rows)
+    det = Fraction(1)
+    for col in range(k):
+        piv = next((i for i in range(col, k) if rows[i][col] != 0), None)
+        if piv is None:
+            return 0
+        if piv != col:
+            rows[col], rows[piv] = rows[piv], rows[col]
+            det = -det
+        det *= rows[col][col]
+        for i in range(col + 1, k):
+            f = rows[i][col] / rows[col][col]
+            rows[i] = [a - f * b for a, b in zip(rows[i], rows[col])]
+    assert det.denominator == 1
+    return int(det)
+
+
+def _determinantal_divisors(m) -> list[int]:
+    """gcd of all k x k minors for k = 1 .. min(shape)."""
+    nrows, ncols = len(m), len(m[0])
+    out = []
+    for k in range(1, min(nrows, ncols) + 1):
+        g = 0
+        for rows in itertools.combinations(range(nrows), k):
+            for cols in itertools.combinations(range(ncols), k):
+                g = math.gcd(g, _frac_det([[m[i][j] for j in cols] for i in rows]))
+        out.append(g)
+    return out
+
+
+def _check_smith(m) -> None:
+    s, u, v = snf(m)
+    nrows, ncols = len(m), len(m[0])
+    assert mat_mul(mat_mul(u, m), v) == s
+    assert len(u) == nrows and len(v) == ncols
+    assert abs(_frac_det(u)) == 1
+    assert abs(_frac_det(v)) == 1
+    for i in range(nrows):
+        for j in range(ncols):
+            if i != j:
+                assert s[i][j] == 0
+    diag = [s[i][i] for i in range(min(nrows, ncols))]
+    assert all(d >= 0 for d in diag)
+    # d_k = D_k / D_(k-1), with D_0 = 1 and D_k the determinantal divisors
+    prev = 1
+    for d, big_d in zip(diag, _determinantal_divisors(m)):
+        if prev == 0:
+            assert d == 0 and big_d == 0
+        else:
+            assert big_d % prev == 0
+            assert d == big_d // prev
+        prev = big_d
+
+
+def test_snf_edge_shapes():
+    for m in (
+        ((3, -6, 9),),
+        ((0, 0, -4),),
+        ((4,), (-6,), (10,)),
+        ((0,), (0,), (-7,)),
+        ((0, 0, 0), (0, 0, 0)),
+        ((0,),),
+        ((-5,),),
+        ((2, 4, -6), (1, 2, -3), (-3, -6, 9)),
+        ((0, 2, 0), (0, 0, 0), (0, 0, 3)),
+        ((-2, 0), (0, -3)),
+        ((6, 4), (-9, -6)),
+    ):
+        _check_smith(m)
+
+
+def test_snf_random_against_determinantal_divisors():
+    rng = random.Random(46)
+    for _ in range(150):
+        nrows, ncols = rng.randint(1, 5), rng.randint(1, 5)
+        m = random_matrix(rng, nrows, ncols, bound=rng.choice((2, 6, 30)))
+        if rng.random() < 0.3 and nrows > 1:
+            # make a row dependent on the others
+            a, b = rng.randint(-2, 2), rng.randint(-2, 2)
+            m = m[:-1] + (tuple(a * x + b * y for x, y in zip(m[0], m[-2])),)
+        _check_smith(m)
+
+
+def test_import_leaves_sympy_out():
+    import gavindex
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gavindex.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, gavindex; print('sympy' in sys.modules)"],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"
+
+
+def _frac_rref(rows, ncols):
+    """Reduced row echelon form over Fraction, with its pivot columns; pivots only in the first ncols."""
+    m = [[Fraction(x) for x in r] for r in rows]
+    pivots = []
+    for col in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(m)) if m[i][col] != 0), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        m[r] = [a / m[r][col] for a in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][col] != 0:
+                f = m[i][col]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(col)
+    return m, pivots
+
+
+def test_subset_kernel_lines_against_fraction_nullspace():
+    rng = random.Random(47)
+    for _ in range(120):
+        d = rng.randint(2, 5)
+        rows = random_matrix(rng, rng.randint(d - 1, d + 3), d, bound=3)
+        expected = []
+        for subset in itertools.combinations(rows, d - 1):
+            m, pivots = _frac_rref(subset, d)
+            if len(pivots) != d - 1:
+                continue
+            free = next(j for j in range(d) if j not in pivots)
+            x = [Fraction(0)] * d
+            x[free] = Fraction(1)
+            for i, col in enumerate(pivots):
+                x[col] = -m[i][free]
+            den = math.lcm(*(v.denominator for v in x))
+            line = primitive(tuple(int(v * den) for v in x))
+            if next(c for c in line if c) < 0:
+                line = tuple(-c for c in line)
+            expected.append(line)
+        assert subset_kernel_lines(rows) == expected
+
+
+def test_solve_rational_and_rank_against_fraction_elimination():
+    rng = random.Random(49)
+    inconsistent = 0
+    for _ in range(200):
+        nrows, ncols = rng.randint(1, 5), rng.randint(1, 5)
+        m = [
+            [Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3))) for _ in range(ncols)]
+            for _ in range(nrows)
+        ]
+        if rng.random() < 0.4 and nrows > 1:
+            m[-1] = [a + 2 * b for a, b in zip(m[0], m[-2])]
+        b = [Fraction(rng.randint(-6, 6), rng.choice((1, 2))) for _ in range(nrows)]
+        reduced, pivots = _frac_rref([row + [bv] for row, bv in zip(m, b)], ncols)
+        assert rank(m) == len(_frac_rref(m, ncols)[1])
+        got = solve_rational(m, b)
+        if any(row[ncols] != 0 for row in reduced[len(pivots):]):
+            assert got is None
+            inconsistent += 1
+            continue
+        expected = [Fraction(0)] * ncols
+        for i, col in enumerate(pivots):
+            expected[col] = reduced[i][ncols]
+        assert got == tuple(expected)
+    assert inconsistent > 10

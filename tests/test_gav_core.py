@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from gavindex.errors import NotAmple, NotQuasiprojectiveSetup
-from gavindex.exactla import mat_vec
+from gavindex.exactla import lattice_key, mat_vec
 from gavindex.gav_core import (
     DegreeData,
     KElement,
@@ -166,6 +166,20 @@ def test_degree_map_kills_rows_of_p(worked):
     dd = degree_map(worked)
     for row in worked.p:
         assert mat_vec(dd.q_free, row) == (0,)
+
+
+def test_degree_map_depends_on_the_row_lattice_only():
+    # D replaced by U.D + B.P0 with U unimodular: another P with the same row lattice
+    shape = dict(r=1, c=1, n=(2, 2), m=1, l=((1, 3), (1, 1)), A=((1, 1), (-2, 1)))
+    base = make_data(D=((1, 1, 1, -1, 0), (1, 1, -1, 1, -1)), **shape)
+    twin = make_data(D=((2, 2, 0, 0, -1), (-3, -3, -1, 1, 1)), **shape)
+    assert base.p != twin.p
+    assert lattice_key(base.p) == lattice_key(twin.p)
+    a, b = degree_map(base), degree_map(twin)
+    assert (a.free_rank, a.torsion) == (2, (2,))
+    assert a.q_free == lattice_key(a.q_free)
+    assert all(0 <= x < 2 for row in a.q_tors for x in row)
+    assert (a.q_free, a.q_tors, a.degrees) == (b.q_free, b.q_tors, b.degrees)
 
 
 def test_degree_map_with_torsion():

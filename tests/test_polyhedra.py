@@ -11,6 +11,7 @@ sigma3 = cone(v01, v02) for the columns of
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -347,3 +348,104 @@ def test_cell_key_is_order_insensitive():
     a = Cell(2, ((Fraction(0), Fraction(0)), (Fraction(1), Fraction(2))))
     b = Cell(2, ((Fraction(0), Fraction(0)), (Fraction(1), Fraction(2))))
     assert a.key() == b.key()
+
+
+# ---------------------------------------------------------------------------
+# facet enumeration against a reference with its own Fraction elimination
+
+
+def _nullspace(rows, d):
+    """Basis of {x : <r, x> = 0 for all rows}, by reduced row echelon form over Fraction."""
+    m = [[Fraction(x) for x in r] for r in rows]
+    pivots = []
+    r = 0
+    for col in range(d):
+        piv = next((i for i in range(r, len(m)) if m[i][col] != 0), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        m[r] = [a / m[r][col] for a in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][col] != 0:
+                f = m[i][col]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(col)
+        r += 1
+    basis = []
+    for free in (j for j in range(d) if j not in pivots):
+        x = [Fraction(0)] * d
+        x[free] = Fraction(1)
+        for i, col in enumerate(pivots):
+            x[col] = -m[i][free]
+        basis.append(x)
+    return basis
+
+
+def _ref_rank(rows, d) -> int:
+    return d - len(_nullspace(rows, d))
+
+
+def _pairing(u, g):
+    return sum(Fraction(a) * b for a, b in zip(u, g))
+
+
+def _reference_facets(pool, d):
+    """Tight-set signatures of all facets of cone(pool), by trying every (dim-1)-subset."""
+    complement = _nullspace(pool, d)
+    dim = d - len(complement)
+    found = set()
+    for subset in itertools.combinations(pool, dim - 1):
+        # forms inside the span that vanish on the subset
+        space = _nullspace(list(subset) + complement, d)
+        if len(space) != 1:
+            continue
+        u = space[0]
+        values = [_pairing(u, g) for g in pool]
+        if all(v >= 0 for v in values) or all(v <= 0 for v in values):
+            found.add(frozenset(i for i, v in enumerate(values) if v == 0))
+    return dim, found
+
+
+def _random_pool(rng, d):
+    """Generators and lineality lines of a random cone, often lower dimensional."""
+    k = rng.randint(1, d)
+    frame = [tuple(rng.randint(-2, 2) for _ in range(d)) for _ in range(k)]
+
+    def vector():
+        return tuple(
+            sum(rng.randint(-2, 2) * f[j] for f in frame) for j in range(d)
+        )
+
+    gens = [vector() for _ in range(rng.randint(1, d + 2))]
+    lines = [vector() for _ in range(rng.choice((0, 0, 1, 2)))]
+    return [g for g in gens if any(g)], [v for v in lines if any(v)]
+
+
+def test_facet_enumeration_against_reference():
+    rng = random.Random(48)
+    checked = {"lower_dim": 0, "lineality": 0, "facets": 0}
+    for _ in range(120):
+        d = rng.randint(2, 5)
+        gens, lines = _random_pool(rng, d)
+        if not gens and not lines:
+            continue
+        c = cone_from_generators(gens, lineality=lines, ambient=d)
+        pool = gens + lines + [tuple(-x for x in v) for v in lines]
+        dim, expected = _reference_facets(pool, d)
+        assert c.dim == dim
+        got = set()
+        for nu in c.normals:
+            values = [_pairing(nu, g) for g in pool]
+            # each normal is nonnegative on every generator
+            assert all(v >= 0 for v in values)
+            tight = [g for g, v in zip(pool, values) if v == 0]
+            # its tight generators span a face of dimension dim - 1
+            assert _ref_rank(tight, d) == dim - 1
+            got.add(frozenset(i for i, v in enumerate(values) if v == 0))
+        # no facet is missing and none is counted twice
+        assert got == expected
+        assert len(c.normals) == len(expected)
+        checked["lower_dim"] += dim < d
+        checked["lineality"] += bool(c.lineality)
+        checked["facets"] += len(expected)
+    assert min(checked.values()) > 10, checked
