@@ -46,11 +46,12 @@ from .polyhedra import (
 )
 
 
-def _default_fan(data: ArrangementData) -> Fan:
+def default_fan(data: ArrangementData) -> Fan:
+    """The ample fan of the anticanonical class; NotAmple when there is none."""
     ok, fan = gav_core.is_fano(data)
     if not ok:
         raise NotAmple(
-            "the anticanonical class is not ample; supply a fan explicitly"
+            "the anticanonical class is not ample and no fan was supplied"
         )
     return fan
 
@@ -171,7 +172,7 @@ def build_complex(data: ArrangementData, fan: Fan | None = None) -> Anticanonica
     it; both are asserted.
     """
     if fan is None:
-        fan = _default_fan(data)
+        fan = default_fan(data)
     trop = tropical.trop_structure(data.r, data.c, data.s)
     cols = data.columns()
     for sigma in fan.maximal:
@@ -332,5 +333,5 @@ def cone_multiplier(data: ArrangementData, cone: Cone) -> int:
 
 def gorenstein_index_via_cones(data: ArrangementData, fan: Fan | None = None) -> int:
     if fan is None:
-        fan = _default_fan(data)
+        fan = default_fan(data)
     return math.lcm(*(cone_multiplier(data, c) for c in fan.maximal))

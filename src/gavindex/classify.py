@@ -28,7 +28,6 @@ from .errors import (
     NotQGorensteinOnCone,
     NotQuasiprojectiveSetup,
 )
-from .exactla import min_integral_multiplier
 from .gav_core import (
     ArrangementData,
     DegreeData,
@@ -619,11 +618,6 @@ def dedupe(candidates: Sequence[Candidate]) -> DedupeResult:
 # in closed form from the defining linear systems; min_integral_multiplier
 # reproduces each formula, and the test suite pins that equivalence.
 # Survivors go through the full verification pipeline.
-
-
-@lru_cache(maxsize=65536)
-def _cone_index_quick(rows: tuple, rhs: tuple) -> int | None:
-    return min_integral_multiplier(rows, rhs)
 
 
 def _mult_ratio(numer: int, *congruent: int) -> int | None:

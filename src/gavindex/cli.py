@@ -19,6 +19,7 @@ from . import tropical
 from .acomplex import (
     build_complex,
     cone_multiplier,
+    default_fan,
     distance_report,
     gorenstein_index_via_complex,
     gorenstein_index_via_cones,
@@ -40,7 +41,6 @@ from .gav_core import (
     anticanonical_class,
     degree_map,
     fan_from_index_sets,
-    is_fano,
     make_data,
     moving_cone,
     validate,
@@ -82,6 +82,13 @@ class InputDocument:
     fan: tuple[tuple[int, ...], ...] | None = None
 
 
+def _integer(x) -> int:
+    """A JSON integer; floats, booleans and strings are refused, not converted."""
+    if type(x) is not int:
+        raise ValueError(f"expected an integer, got {json.dumps(x)}")
+    return x
+
+
 def parse_input(text: str) -> InputDocument:
     """Parse a JSON input document, reporting malformed text with location."""
     try:
@@ -97,20 +104,20 @@ def parse_input(text: str) -> InputDocument:
         raise DocumentError("missing fields: " + ", ".join(missing))
     try:
         doc = InputDocument(
-            r=int(raw["r"]),
-            c=int(raw["c"]),
-            n=tuple(int(x) for x in raw["n"]),
-            m=int(raw["m"]),
-            l=tuple(tuple(int(x) for x in li) for li in raw["l"]),
+            r=_integer(raw["r"]),
+            c=_integer(raw["c"]),
+            n=tuple(_integer(x) for x in raw["n"]),
+            m=_integer(raw["m"]),
+            l=tuple(tuple(_integer(x) for x in li) for li in raw["l"]),
             A=tuple(tuple(Fraction(str(x)) for x in row) for row in raw["A"]),
-            D=tuple(tuple(int(x) for x in row) for row in raw["D"]),
+            D=tuple(tuple(_integer(x) for x in row) for row in raw["D"]),
             fan=(
-                tuple(tuple(int(i) for i in cone) for cone in raw["fan"])
+                tuple(tuple(_integer(i) for i in cone) for cone in raw["fan"])
                 if raw.get("fan") is not None
                 else None
             ),
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise DocumentError(f"malformed field: {exc}") from exc
     return doc
 
@@ -189,12 +196,7 @@ def _resolve_fan(doc: InputDocument, data: ArrangementData) -> Fan:
     """The listed fan, or the ample fan of -K when the document has none."""
     if doc.fan is not None:
         return fan_from_index_sets(data, doc.fan)
-    fano, fan = is_fano(data)
-    if not fano:
-        raise NotAmple(
-            "the anticanonical class is not ample and no fan was supplied"
-        )
-    return fan
+    return default_fan(data)
 
 
 # ---------------------------------------------------------------------------
@@ -326,8 +328,8 @@ def _toric_fan(raw: dict) -> Fan:
     if not isinstance(raw, dict) or "rays" not in raw or "fan" not in raw:
         raise DocumentError('a toric document needs "rays" and "fan" fields')
     try:
-        rays = tuple(tuple(int(x) for x in v) for v in raw["rays"])
-        isets = tuple(tuple(int(i) for i in cone) for cone in raw["fan"])
+        rays = tuple(tuple(_integer(x) for x in v) for v in raw["rays"])
+        isets = tuple(tuple(_integer(i) for i in cone) for cone in raw["fan"])
     except (TypeError, ValueError) as exc:
         raise DocumentError(f"malformed field: {exc}") from exc
     for iset in isets:

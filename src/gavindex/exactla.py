@@ -1,21 +1,20 @@
 """Exact integer and rational linear algebra.
 
 The routines compute on plain Python integers: Hermite and Smith forms
-by Euclidean row and column reduction, ranks, kernel lines and rational
-solves by fraction-free elimination.  :class:`fractions.Fraction`
-appears only where a rational value enters (rows are first scaled to
-integers) or leaves (the entries of a rational solution).  No floating
-point is used anywhere.  Matrices are immutable tuples of row tuples,
-vectors are plain tuples.
+by Euclidean row and column reduction, integer kernels from the Hermite
+form, and ranks, rational solves and determinants by fraction-free
+elimination.  :class:`fractions.Fraction` appears only where a rational
+value enters (rows are first scaled to integers) or leaves (the entries
+of a rational solution, a determinant).  No floating point is used
+anywhere.  Matrices are immutable tuples of row tuples, vectors are
+plain tuples.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 Rat = Fraction
@@ -264,71 +263,6 @@ def rank(m: Sequence[Sequence[int | Rat]]) -> int:
     return len(_bareiss(_integer_rows(m)))
 
 
-@lru_cache(maxsize=None)
-def _minor_plans(d: int) -> tuple:
-    """Laplace expansion plans for the minors of t rows of a d-column matrix.
-
-    Level t lists, for every (t+1)-subset of columns in lexicographic
-    order, the terms (sign, column, position of the t-subset left when
-    the column is removed) that expand its minor along the newest row.
-    """
-    plans = []
-    prev = {(): 0}
-    for t in range(1, d):
-        subsets = list(itertools.combinations(range(d), t))
-        plan = []
-        for cols in subsets:
-            terms = []
-            for i, c in enumerate(cols):
-                terms.append((-1 if i % 2 else 1, c, prev[cols[:i] + cols[i + 1 :]]))
-            plan.append(tuple(terms))
-        plans.append(tuple(plan))
-        prev = {cols: k for k, cols in enumerate(subsets)}
-    return tuple(plans)
-
-
-def subset_kernel_lines(rows: Sequence[Sequence[int]]) -> list[IntVec]:
-    """Kernel lines of all (d-1)-subsets of rows of length d that have rank d-1.
-
-    For each such subset, in ``itertools.combinations`` order, the
-    primitive generator of {x : <row, x> = 0 for the rows of the subset},
-    with its first nonzero entry positive.  The generator is the vector
-    of signed maximal minors (a generalised cross product).  Subsets are
-    grown one row at a time and share the minors of their common prefix;
-    a prefix whose minors all vanish is dependent and is not extended.
-    """
-    if not rows:
-        return []
-    d = len(rows[0])
-    need = d - 1
-    if need == 0:
-        return [(1,)]
-    plans = _minor_plans(d)
-    n = len(rows)
-    out: list[IntVec] = []
-
-    def extend(start: int, prev: list[int], t: int) -> None:
-        plan = plans[t]
-        last = t + 1 == need
-        for i in range(start, n - need + t + 1):
-            row = rows[i]
-            cur = [sum(s * row[c] * prev[k] for s, c, k in terms) for terms in plan]
-            if not any(cur):
-                continue
-            if not last:
-                extend(i + 1, cur, t + 1)
-                continue
-            # the minor without column j sits at position d-1-j
-            x = [-cur[d - 1 - j] if j % 2 else cur[d - 1 - j] for j in range(d)]
-            g = math.gcd(*x)
-            if next(v for v in x if v) < 0:
-                g = -g
-            out.append(tuple(v // g for v in x))
-
-    extend(0, [1], 0)
-    return out
-
-
 def transpose(m: Sequence[Sequence]) -> tuple:
     return tuple(zip(*m)) if m else ()
 
@@ -347,21 +281,6 @@ def integer_kernel(m: Sequence[Sequence[int]]) -> IntMat:
         return identity(ncols)
     h, u = hnf(transpose(m))
     return tuple(u[i] for i in range(ncols) if not any(h[i]))
-
-
-def saturate(vectors: Sequence[Sequence[int]]) -> IntMat:
-    """Basis of the saturation of the lattice spanned by the given vectors.
-
-    The saturation is the set of integer points in the rational span; it
-    contains the original lattice with finite index.
-    """
-    if not vectors:
-        return ()
-    ambient = len(vectors[0])
-    inner = integer_kernel(vectors)
-    if not inner:
-        return identity(ambient)
-    return integer_kernel(inner)
 
 
 def solve_rational(m: Sequence[Sequence[int | Rat]], b: Sequence[int | Rat]) -> RatVec | None:
@@ -423,21 +342,30 @@ def min_integral_multiplier(m: Sequence[Sequence[int]], b: Sequence[int | Rat]) 
     return t
 
 
-def det_int(m: Sequence[Sequence[int]]) -> int:
-    """Determinant of a square integer matrix by fraction-free Bareiss elimination."""
+def det(m: Sequence[Sequence[int | Rat]]) -> Rat:
+    """Determinant of a square rational matrix.
+
+    Each row is scaled by the least common denominator of its entries,
+    and the integer matrix is reduced by fraction-free (Bareiss)
+    elimination, whose last pivot is its determinant up to the sign of
+    the row swaps.
+    """
     k = len(m)
     if any(len(row) != k for row in m):
         raise ValueError("matrix is not square")
-    if k == 0:
-        return 1
-    a = [list(int(x) for x in row) for row in m]
+    a = []
+    scale = 1
+    for row in m:
+        den = math.lcm(*(Fraction(x).denominator for x in row))
+        a.append([int(Fraction(x) * den) for x in row])
+        scale *= den
     sign = 1
     prev = 1
     for i in range(k - 1):
         if a[i][i] == 0:
             piv = next((j for j in range(i + 1, k) if a[j][i] != 0), None)
             if piv is None:
-                return 0
+                return Fraction(0)
             a[i], a[piv] = a[piv], a[i]
             sign = -sign
         for j in range(i + 1, k):
@@ -445,7 +373,7 @@ def det_int(m: Sequence[Sequence[int]]) -> int:
                 a[j][col] = (a[j][col] * a[i][i] - a[j][i] * a[i][col]) // prev
             a[j][i] = 0
         prev = a[i][i]
-    return sign * a[k - 1][k - 1]
+    return Fraction(sign * a[k - 1][k - 1] if k else 1, scale)
 
 
 def lattice_key(vectors: Sequence[Sequence[int]]) -> IntMat:

@@ -19,6 +19,7 @@ from .exactla import (
     IntMat,
     IntVec,
     Rat,
+    det,
     lattice_key,
     mat_vec,
     primitive,
@@ -189,19 +190,6 @@ class Relation:
     terms: tuple[tuple[Rat, int, tuple[int, ...]], ...]
 
 
-def _det_rat(m: Sequence[Sequence[Rat]]) -> Rat:
-    k = len(m)
-    if k == 0:
-        return Fraction(1)
-    if k == 1:
-        return Fraction(m[0][0])
-    total = Fraction(0)
-    for j in range(k):
-        minor = tuple(row[:j] + row[j + 1 :] for row in m[1:])
-        total += (-1) ** j * Fraction(m[0][j]) * _det_rat(minor)
-    return total
-
-
 def relations(data: ArrangementData) -> tuple[Relation, ...]:
     """The r - c defining relations, by cofactor expansion along the monomial row."""
     a_cols = transpose(data.A)
@@ -211,7 +199,7 @@ def relations(data: ArrangementData) -> tuple[Relation, ...]:
         terms = []
         for pos, j in enumerate(sel):
             rest = tuple(a_cols[k] for k in sel if k != j)
-            minor = _det_rat(transpose(rest))
+            minor = det(transpose(rest))
             sign = (-1) ** (data.c + 1 + pos)
             terms.append((sign * minor, j, data.l[j]))
         out.append(Relation(terms=tuple(terms)))
@@ -426,42 +414,44 @@ def _with_column_info(fan: Fan, cols: IntMat) -> Fan:
     return Fan(fan.ambient, fan.maximal, cols, index_sets)
 
 
-def fan_from_ample(data: ArrangementData, u: KElement | Sequence[int]) -> Fan:
-    """Minimal projective fan attached to an ample class.
+def _ample_fan(data: ArrangementData, u_free: tuple[int, ...]) -> Fan | None:
+    """Minimal projective fan of a class, or None when its raw fan is not complete.
 
-    The raw face-image fan is required to be complete; cones whose
-    relative interior misses the tropical support are then pruned away.
+    Raises NotAmple when the class is not in the interior of the moving
+    cone.  Cones whose relative interior misses the tropical support are
+    pruned from the raw face-image fan.
     """
-    dd = degree_map(data)
-    u_free = _free_part(u)
-    if len(u_free) != dd.free_rank:
-        raise ValueError("class has wrong free rank")
     mov = moving_cone(data)
-    if dd.free_rank == 0 or not mov.relint_contains(u_free):
+    if not u_free or not mov.relint_contains(u_free):
         raise NotAmple("class is not in the interior of the moving cone")
     raw = _sigma_u(data, u_free)
     if not is_complete(raw):
-        raise ValueError("ample-class fan failed the completeness check")
+        return None
     trop = tropical.trop_structure(data.r, data.c, data.s)
     pruned = tropical.prune_to_minimal(trop, raw)
     return _with_column_info(pruned, data.columns())
 
 
+def fan_from_ample(data: ArrangementData, u: KElement | Sequence[int]) -> Fan:
+    """Minimal projective fan attached to an ample class; its raw fan must be complete."""
+    u_free = _free_part(u)
+    if len(u_free) != degree_map(data).free_rank:
+        raise ValueError("class has wrong free rank")
+    fan = _ample_fan(data, u_free)
+    if fan is None:
+        raise ValueError("ample-class fan failed the completeness check")
+    return fan
+
+
 def is_fano(data: ArrangementData) -> tuple[bool, Fan | None]:
     """Whether the anticanonical class is ample with a complete raw fan."""
-    dd = degree_map(data)
-    if dd.free_rank == 0:
+    if degree_map(data).free_rank == 0:
         return False, None
-    anti = anticanonical_class(data)
-    mov = moving_cone(data)
-    if not mov.relint_contains(anti.free):
+    try:
+        fan = _ample_fan(data, anticanonical_class(data).free)
+    except NotAmple:
         return False, None
-    raw = _sigma_u(data, anti.free)
-    if not is_complete(raw):
-        return False, None
-    trop = tropical.trop_structure(data.r, data.c, data.s)
-    pruned = tropical.prune_to_minimal(trop, raw)
-    return True, _with_column_info(pruned, data.columns())
+    return fan is not None, fan
 
 
 def fan_from_index_sets(

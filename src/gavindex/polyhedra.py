@@ -5,13 +5,18 @@ reduced modulo lineality, lexicographically sorted) together with facet
 normals and span equations. Two cones are equal as Python objects exactly
 when they are equal as subsets of the ambient space, which makes cones
 usable as dictionary keys throughout the fan machinery.
+
+One engine computes every cone: integer double description, which adds
+constraints one at a time to a set of extreme rays and lineality lines.
+A cone given by inequalities runs it once; a cone given by generators
+runs it first on the dual cone, whose extreme rays are the facet
+normals, and then on those normals.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -30,11 +35,7 @@ from .exactla import (
     lattice_key,
     min_integral_multiplier,
     primitive,
-    rank,
-    saturate,
     solve_rational,
-    subset_kernel_lines,
-    transpose,
 )
 
 
@@ -104,69 +105,84 @@ def _canonical_ray(g: Sequence[int], lineality: IntMat) -> IntVec:
     return primitive(tuple(den * a - b for a, b in zip(g, proj)))
 
 
-@lru_cache(maxsize=1 << 17)
-def _facet_normals(pool: IntMat, equations: IntMat, ambient: int) -> IntMat:
-    """Facet normals of cone(pool), canonicalized inside the span.
+def _orthogonal_key(rows: IntMat, ambient: int) -> IntMat:
+    """Hermite basis of the integer vectors orthogonal to every row."""
+    return lattice_key(integer_kernel(rows)) if rows else identity(ambient)
 
-    Works on integer coordinates of the pool with respect to a saturated
-    basis of its span, cleared of denominators once; a positive rescaling
-    keeps every sign.  Every facet is spanned by pool vectors lying on
-    it, so candidates are the kernel lines of the rank-(d-1) subsets of
-    d-1 pool vectors, d the span dimension.  A candidate survives when
-    it does not change sign across the pool.  Many subsets span the same
-    facet, so each candidate line is tested and lifted once.
+
+def _double_description(
+    constraints: IntMat, equations: IntMat, ambient: int
+) -> tuple[list[IntVec], list[int], list[IntVec]]:
+    """Extreme rays of {x : <a,x> >= 0 for a in constraints, <e,x> = 0 for e in equations}.
+
+    Returns (rays, tight, lines): one integer vector on each extreme ray
+    modulo the lineality space, for each ray the bitmask of the
+    constraints vanishing on it (bit j for constraints[j]), and a basis
+    of the lineality space (not saturated).
+
+    Incremental double description (Motzkin, Raiffa, Thompson and Thrall
+    1953; Fukuda and Prodon 1996) on integers: start from the lines of
+    ker(equations) and add one constraint at a time.  A constraint that
+    is nonzero on the lineality turns one line into a ray and moves the
+    rest of the cone onto its hyperplane along that line.  Otherwise the
+    rays on its negative side are dropped and every adjacent pair of a
+    positive and a negative ray is combined into a ray on the
+    hyperplane.  Two rays are adjacent when no third ray is tight on
+    every constraint they share: the smallest face containing both has
+    exactly the rays tight on those constraints, and it is
+    two-dimensional exactly when they are its only rays.
     """
-    span_dim = ambient - len(equations)
-    if span_dim <= 0:
-        return ()
-    basis = saturate(pool)
-    if len(basis) == ambient:
-        # a full-dimensional pool saturates to the standard basis
-        coords = pool
-    else:
-        coords = []
-        basis_t = transpose(basis)
-        for g in pool:
-            # coordinates with respect to the saturated basis are integral
-            sol = solve_rational(basis_t, g)
-            if sol is None:
-                raise AssertionError("generator outside its own span")
-            coords.append(clear_denominators(sol))
-    seen: set[IntVec] = set()
-    found: set[IntVec] = set()
-    for nu_coord in subset_kernel_lines(coords):
-        if nu_coord in seen:
-            continue
-        seen.add(nu_coord)
-        has_pos = has_neg = False
-        for c in coords:
-            v = sum(map(operator.mul, nu_coord, c))
-            if v > 0:
-                has_pos = True
-            elif v < 0:
-                has_neg = True
-            if has_pos and has_neg:
-                break
-        if has_pos and has_neg:
-            continue
-        if has_neg:
-            nu_coord = tuple(-x for x in nu_coord)
-        found.add(_lift_form(nu_coord, basis, ambient))
-    return tuple(sorted(found))
-
-
-def _lift_form(nu_coord: Sequence[int], basis: IntMat, ambient: int) -> IntVec:
-    """Ambient vector in the span of the basis whose pairings with the basis rows match nu_coord.
-
-    This is the canonical representative of the linear form nu_coord
-    (orthogonal to the span's complement), so equal facets of different
-    cones produce identical normal vectors.
-    """
-    if len(basis) == ambient:
-        return primitive(nu_coord)
-    # the positive denominator only rescales the lifted vector
-    _, coeffs = _gram_solution(basis, nu_coord)
-    return primitive(_combine(coeffs, basis))
+    lines = list(integer_kernel(equations)) if equations else list(identity(ambient))
+    rays: list[IntVec] = []
+    tight: list[int] = []
+    done = 0
+    for j, a in enumerate(constraints):
+        bit = 1 << j
+        on_lines = [dot(a, v) for v in lines]
+        moving = [i for i, v in enumerate(on_lines) if v]
+        if moving:
+            k = min(moving, key=lambda i: abs(on_lines[i]))
+            pivot, vk = lines.pop(k), on_lines.pop(k)
+            if vk < 0:
+                pivot, vk = tuple(-x for x in pivot), -vk
+            lines = [
+                primitive(tuple(vk * x - v * y for x, y in zip(line, pivot))) if v else line
+                for line, v in zip(lines, on_lines)
+            ]
+            rays = [
+                primitive(tuple(vk * x - dot(a, r) * y for x, y in zip(r, pivot)))
+                for r in rays
+            ]
+            tight = [t | bit for t in tight]
+            rays.append(pivot)
+            tight.append(done)
+        else:
+            values = [dot(a, r) for r in rays]
+            if any(v < 0 for v in values):
+                kept = [i for i, v in enumerate(values) if v >= 0]
+                new_rays = [rays[i] for i in kept]
+                new_tight = [tight[i] | bit if values[i] == 0 else tight[i] for i in kept]
+                for p, vp in enumerate(values):
+                    if vp <= 0:
+                        continue
+                    for n, vn in enumerate(values):
+                        if vn >= 0:
+                            continue
+                        common = tight[p] & tight[n]
+                        if any(
+                            t & common == common and i != p and i != n
+                            for i, t in enumerate(tight)
+                        ):
+                            continue
+                        new_rays.append(
+                            primitive(tuple(vp * x - vn * y for x, y in zip(rays[n], rays[p])))
+                        )
+                        new_tight.append(common | bit)
+                rays, tight = new_rays, new_tight
+            else:
+                tight = [t | bit if v == 0 else t for t, v in zip(tight, values)]
+        done |= bit
+    return rays, tight, lines
 
 
 def cone_from_generators(
@@ -192,37 +208,19 @@ def cone_from_generators(
 
 @lru_cache(maxsize=1 << 17)
 def _cone_from_pool(gens: IntMat, lines: IntMat, ambient: int) -> Cone:
+    """The cone of a pool, through its facets.
+
+    The pool spans the dual cone {y : <y,g> >= 0 for g in the pool},
+    whose extreme rays are the facet normals and whose lineality space
+    is orthogonal to the span of the pool.
+    """
     pool = tuple(
         dict.fromkeys(gens + lines + tuple(tuple(-x for x in v) for v in lines))
     )
-    if not pool:
-        return Cone(ambient, (), (), (), lattice_key(identity(ambient)))
-    equations = lattice_key(integer_kernel(pool))
-    normals = _facet_normals(pool, equations, ambient)
-    constraints = normals + equations
-    if constraints:
-        lin_basis = lattice_key(integer_kernel(constraints))
-    else:
-        lin_basis = lattice_key(identity(ambient))
-    rays = _extreme_rays(pool, normals, equations, lin_basis, ambient)
-    return Cone(ambient, rays, lin_basis, normals, equations)
-
-
-def _extreme_rays(
-    pool: IntMat,
-    normals: IntMat,
-    equations: IntMat,
-    lin_basis: IntMat,
-    ambient: int,
-) -> IntMat:
-    dim_lin = len(lin_basis)
-    rays: set[IntVec] = set()
-    for g in pool:
-        tight = tuple(nu for nu in normals if dot(nu, g) == 0)
-        face_dim = ambient - rank(equations + tight)
-        if face_dim == dim_lin + 1:
-            rays.add(_canonical_ray(g, lin_basis))
-    return tuple(sorted(rays))
+    dual_rays, _, dual_lines = _double_description(pool, (), ambient)
+    equations = _orthogonal_key(pool, ambient) if dual_lines else ()
+    normals = {_canonical_ray(y, equations) for y in dual_rays}
+    return _cone_from_constraints(tuple(sorted(normals)), equations, ambient)
 
 
 def cone_from_inequalities(
@@ -230,12 +228,7 @@ def cone_from_inequalities(
     equations: Iterable[Sequence[int]] = (),
     ambient: int | None = None,
 ) -> Cone:
-    """Cone {x : <nu,x> >= 0, <e,x> = 0} via duality.
-
-    The dual cone is generated by the normals and both signs of the
-    equations; its facet normals generate the original cone and its span
-    equations give the lineality lines.
-    """
+    """Cone {x : <nu,x> >= 0, <e,x> = 0}."""
     nus = [primitive(tuple(int(x) for x in nu)) for nu in normals]
     nus = [nu for nu in nus if any(nu)]
     eqs = [primitive(tuple(int(x) for x in e)) for e in equations]
@@ -250,15 +243,34 @@ def cone_from_inequalities(
 
 @lru_cache(maxsize=1 << 17)
 def _cone_from_constraints(nus: IntMat, eqs: IntMat, ambient: int) -> Cone:
-    dual_pool = tuple(
-        dict.fromkeys(nus + eqs + tuple(tuple(-x for x in e) for e in eqs))
+    """The canonical Cone of the constraints; every Cone is built here.
+
+    A constraint defines a facet when the set of extreme rays it is
+    tight on is proper and inclusion-maximal among those sets.  A
+    constraint tight on every ray is an implicit equation; without one,
+    and without eqs, the cone is full dimensional.
+    """
+    rays, tight, lines = _double_description(nus, eqs, ambient)
+    every = (1 << len(rays)) - 1
+    on_ray = [sum(1 << i for i, t in enumerate(tight) if t >> j & 1) for j in range(len(nus))]
+    proper = {s for s in on_ray if s != every}
+    if eqs or every in on_ray:
+        equations = _orthogonal_key(tuple(rays) + tuple(lines), ambient)
+    else:
+        equations = ()
+    lineality = _orthogonal_key(nus + eqs, ambient) if lines else ()
+    normals = {
+        _canonical_ray(nu, equations)
+        for nu, s in zip(nus, on_ray)
+        if s in proper and not any(s != o and s & o == s for o in proper)
+    }
+    return Cone(
+        ambient,
+        tuple(sorted({_canonical_ray(r, lineality) for r in rays})),
+        lineality,
+        tuple(sorted(normals)),
+        equations,
     )
-    if not dual_pool:
-        # no constraints at all: the full space
-        return Cone(ambient, (), lattice_key(identity(ambient)), (), ())
-    dual_equations = lattice_key(integer_kernel(dual_pool))
-    dual_normals = _facet_normals(dual_pool, dual_equations, ambient)
-    return cone_from_generators(dual_normals, lineality=dual_equations, ambient=ambient)
 
 
 def zero_cone(ambient: int) -> Cone:
@@ -374,23 +386,6 @@ def is_complete(fan: Fan) -> bool:
             k = facet_key(c, nu)
             counts[k] = counts.get(k, 0) + 1
     return all(v == 2 for v in counts.values())
-
-
-def refine_fan(fan: Fan, pieces: Sequence[Cone]) -> Fan:
-    """Common refinement of the fan with a covering family of cones.
-
-    Maximal cones of the result are the inclusion-maximal pairwise
-    intersections of fan cones with pieces.
-    """
-    candidates: list[Cone] = []
-    for c in fan.maximal:
-        for p in pieces:
-            candidates.append(intersect(c, p))
-    unique = list(dict.fromkeys(candidates))
-    maximal = [
-        c for c in unique if not any(d != c and contains_cone(d, c) for d in unique)
-    ]
-    return make_fan(maximal, validate=False, ray_columns=fan.ray_columns)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,6 @@ import pytest
 from gavindex import tropical
 from gavindex.classify import (
     SETTINGS,
-    _cone_index_quick,
     _mult_leading,
     _mult_ratio,
     brute_force_box,
@@ -28,6 +27,7 @@ from gavindex.classify import (
     verify_data,
 )
 from gavindex.errors import InvalidCandidate
+from gavindex.exactla import min_integral_multiplier
 from gavindex.gav_core import fan_from_index_sets, make_data
 from gavindex.polyhedra import intersect
 
@@ -281,7 +281,7 @@ def test_box_rejects_bad_input():
 
 
 def _solver(rows, rhs):
-    return _cone_index_quick(tuple(rows), tuple(rhs))
+    return min_integral_multiplier(rows, rhs)
 
 
 def test_leading_multiplier_formula_matches_solver():

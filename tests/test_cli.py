@@ -70,6 +70,32 @@ def test_missing_fields(capsys, tmp_path):
     assert "missing fields" in report["error"]
 
 
+def _with_entry(field, value):
+    """The README document with the first entry of a matrix field replaced."""
+    rows = [list(row) for row in WORKED[field]]
+    rows[0][0] = value
+    return dict(WORKED, **{field: rows})
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (_with_entry("D", -1.5), "expected an integer, got -1.5"),
+        (_with_entry("D", True), "expected an integer, got true"),
+        (_with_entry("A", "1/0"), "malformed field"),
+    ],
+    ids=["fractional-integer", "boolean-integer", "zero-denominator"],
+)
+def test_malformed_values_are_refused(capsys, tmp_path, doc, message):
+    # these documents used to be truncated to index 12, read as index 5,
+    # or end in a traceback
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(doc))
+    code, report = run(capsys, "gorenstein", str(path))
+    assert code == 1
+    assert message in report["error"]
+
+
 def test_info_degrees_and_anticanonical(capsys, worked_file):
     code, report = run(capsys, "info", worked_file)
     assert code == 0

@@ -18,7 +18,7 @@ import pytest
 
 from gavindex.exactla import (
     clear_denominators,
-    det_int,
+    det,
     dot,
     hnf,
     integer_kernel,
@@ -28,10 +28,8 @@ from gavindex.exactla import (
     min_integral_multiplier,
     primitive,
     rank,
-    saturate,
     snf,
     solve_rational,
-    subset_kernel_lines,
 )
 
 
@@ -69,7 +67,7 @@ def test_hnf_small_fixture():
     h, u = hnf(((2, 4), (1, 1)))
     assert h == ((1, 1), (0, 2))
     assert mat_mul(u, ((2, 4), (1, 1))) == h
-    assert abs(det_int(u)) == 1
+    assert abs(det(u)) == 1
 
 
 def test_hnf_empty():
@@ -82,7 +80,7 @@ def test_hnf_random_properties():
         m = random_matrix(rng, rng.randint(1, 4), rng.randint(1, 4))
         h, u = hnf(m)
         assert mat_mul(u, m) == h
-        assert abs(det_int(u)) == 1
+        assert abs(det(u)) == 1
         assert is_echelon(h)
 
 
@@ -109,8 +107,8 @@ def test_snf_random_divisibility():
         m = random_matrix(rng, rng.randint(1, 4), rng.randint(1, 4))
         s, u, v = snf(m)
         assert mat_mul(mat_mul(u, m), v) == s
-        assert abs(det_int(u)) == 1
-        assert abs(det_int(v)) == 1
+        assert abs(det(u)) == 1
+        assert abs(det(v)) == 1
         diag = [s[i][i] for i in range(min(len(s), len(s[0])))]
         for a, b in zip(diag, diag[1:]):
             assert (a == 0 and b == 0) or (a != 0 and b % a == 0)
@@ -155,19 +153,6 @@ def _in_row_lattice(basis, x) -> bool:
         q = rem[piv] // row[piv]
         rem = [a - q * b for a, b in zip(rem, row)]
     return not any(rem)
-
-
-def test_saturate_single_vector():
-    assert lattice_key(saturate(((2, 0),))) == lattice_key(((1, 0),))
-
-
-def test_saturate_plane():
-    sat = saturate(((1, 1, 0), (0, 0, 2)))
-    assert lattice_key(sat) == lattice_key(((1, 1, 0), (0, 0, 1)))
-
-
-def test_saturate_empty():
-    assert saturate(()) == ()
 
 
 def test_solve_rational_unique():
@@ -249,31 +234,47 @@ def test_min_integral_multiplier_against_brute_force():
 
 
 def test_det_int_values():
-    assert det_int(((-2, 2, 0), (-2, 0, 3), (-1, 1, 2))) == 8
-    assert det_int(((2, 4), (1, 1))) == -2
-    assert det_int(((1, 2), (2, 4))) == 0
-    assert det_int(()) == 1
+    assert det(((-2, 2, 0), (-2, 0, 3), (-1, 1, 2))) == 8
+    assert det(((2, 4), (1, 1))) == -2
+    assert det(((1, 2), (2, 4))) == 0
+    assert det(()) == 1
+
+
+def _cofactor(m):
+    """Determinant by cofactor expansion along the first row."""
+    k = len(m)
+    if k == 0:
+        return 1
+    if k == 1:
+        return m[0][0]
+    total = 0
+    for j in range(k):
+        minor = tuple(row[:j] + row[j + 1 :] for row in m[1:])
+        total += (-1) ** j * m[0][j] * _cofactor(minor)
+    return total
 
 
 def test_det_int_random_against_expansion():
     rng = random.Random(45)
-
-    def cofactor(m):
-        k = len(m)
-        if k == 0:
-            return 1
-        if k == 1:
-            return m[0][0]
-        total = 0
-        for j in range(k):
-            minor = tuple(row[:j] + row[j + 1 :] for row in m[1:])
-            total += (-1) ** j * m[0][j] * cofactor(minor)
-        return total
-
     for _ in range(60):
         k = rng.randint(1, 4)
         m = random_matrix(rng, k, k)
-        assert det_int(m) == cofactor(m)
+        assert det(m) == _cofactor(m)
+
+
+def test_det_rational_random_against_expansion():
+    rng = random.Random(46)
+    for _ in range(60):
+        k = rng.randint(1, 4)
+        m = tuple(
+            tuple(Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3, 4))) for _ in range(k))
+            for _ in range(k)
+        )
+        got = det(m)
+        assert isinstance(got, Fraction)
+        assert got == _cofactor(m)
+    with pytest.raises(ValueError):
+        det(((1, 2),))
 
 
 def test_rank_and_primitive_helpers():
@@ -422,29 +423,6 @@ def _frac_rref(rows, ncols):
                 m[i] = [a - f * b for a, b in zip(m[i], m[r])]
         pivots.append(col)
     return m, pivots
-
-
-def test_subset_kernel_lines_against_fraction_nullspace():
-    rng = random.Random(47)
-    for _ in range(120):
-        d = rng.randint(2, 5)
-        rows = random_matrix(rng, rng.randint(d - 1, d + 3), d, bound=3)
-        expected = []
-        for subset in itertools.combinations(rows, d - 1):
-            m, pivots = _frac_rref(subset, d)
-            if len(pivots) != d - 1:
-                continue
-            free = next(j for j in range(d) if j not in pivots)
-            x = [Fraction(0)] * d
-            x[free] = Fraction(1)
-            for i, col in enumerate(pivots):
-                x[col] = -m[i][free]
-            den = math.lcm(*(v.denominator for v in x))
-            line = primitive(tuple(int(v * den) for v in x))
-            if next(c for c in line if c) < 0:
-                line = tuple(-c for c in line)
-            expected.append(line)
-        assert subset_kernel_lines(rows) == expected
 
 
 def test_solve_rational_and_rank_against_fraction_elimination():

@@ -12,12 +12,14 @@ sigma3 = cone(v01, v02) for the columns of
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from gavindex.errors import NotQGorenstein
+from gavindex.gav_core import degree_map, make_data, moving_cone, validate
 from gavindex.polyhedra import (
     Cell,
     cone_from_generators,
@@ -29,7 +31,6 @@ from gavindex.polyhedra import (
     is_face,
     level_cut,
     make_fan,
-    refine_fan,
     relative_interior_point,
     toric_gorenstein_index,
     truncate,
@@ -210,19 +211,6 @@ def test_halfspace_is_not_complete():
     assert not is_complete(make_fan([half]))
 
 
-def test_refine_fan_splits_along_leaves():
-    fan = make_fan([SIGMA1, SIGMA2, SIGMA3])
-    refined = refine_fan(fan, [LAMBDA0, LAMBDA1, LAMBDA2])
-    assert len(refined.maximal) == 7
-    for c in refined.maximal:
-        assert any(
-            contains_cone(parent, c) for parent in (SIGMA1, SIGMA2, SIGMA3)
-        )
-        assert any(
-            contains_cone(leaf, c) for leaf in (LAMBDA0, LAMBDA1, LAMBDA2)
-        )
-
-
 def test_truncate_single_ray():
     c = cone_from_generators([V21])
     u = (Fraction(0), Fraction(0), Fraction(-1, 2))
@@ -333,8 +321,6 @@ def test_toric_index_weighted_fan_against_scan():
                 None,
             )
             per_cone.append(first)
-        import math
-
         assert got == math.lcm(*per_cone)
 
 
@@ -390,10 +376,15 @@ def _pairing(u, g):
 
 
 def _reference_facets(pool, d):
-    """Tight-set signatures of all facets of cone(pool), by trying every (dim-1)-subset."""
+    """Facets of cone(pool), by trying every (dim-1)-subset.
+
+    Returns the dimension, a basis of the orthogonal complement of the
+    span, and for each facet its tight-set signature (indices into the
+    pool) mapped to a form that is nonnegative on the pool.
+    """
     complement = _nullspace(pool, d)
     dim = d - len(complement)
-    found = set()
+    found = {}
     for subset in itertools.combinations(pool, dim - 1):
         # forms inside the span that vanish on the subset
         space = _nullspace(list(subset) + complement, d)
@@ -401,9 +392,36 @@ def _reference_facets(pool, d):
             continue
         u = space[0]
         values = [_pairing(u, g) for g in pool]
-        if all(v >= 0 for v in values) or all(v <= 0 for v in values):
-            found.add(frozenset(i for i, v in enumerate(values) if v == 0))
-    return dim, found
+        if all(v <= 0 for v in values):
+            u = [-x for x in u]
+        elif not all(v >= 0 for v in values):
+            continue
+        found.setdefault(frozenset(i for i, v in enumerate(values) if v == 0), u)
+    return dim, complement, found
+
+
+def _det(m):
+    if not m:
+        return 1
+    return sum(
+        (-1) ** j * m[0][j] * _det([row[:j] + row[j + 1 :] for row in m[1:]])
+        for j in range(len(m))
+    )
+
+
+def _is_saturated(basis, d) -> bool:
+    """Whether the integer basis spans every integer point of its span: its maximal minors have gcd 1."""
+    k = len(basis)
+    g = 0
+    for cols in itertools.combinations(range(d), k):
+        g = math.gcd(g, _det([[row[j] for j in cols] for row in basis]))
+    return g == 1
+
+
+def _reference_contains(x, complement, forms) -> bool:
+    return all(_pairing(e, x) == 0 for e in complement) and all(
+        _pairing(u, x) >= 0 for u in forms
+    )
 
 
 def _random_pool(rng, d):
@@ -416,22 +434,31 @@ def _random_pool(rng, d):
             sum(rng.randint(-2, 2) * f[j] for f in frame) for j in range(d)
         )
 
-    gens = [vector() for _ in range(rng.randint(1, d + 2))]
+    gens = [vector() for _ in range(rng.randint(1, d + 4))]
     lines = [vector() for _ in range(rng.choice((0, 0, 1, 2)))]
     return [g for g in gens if any(g)], [v for v in lines if any(v)]
 
 
-def test_facet_enumeration_against_reference():
-    rng = random.Random(48)
-    checked = {"lower_dim": 0, "lineality": 0, "facets": 0}
-    for _ in range(120):
-        d = rng.randint(2, 5)
+def _random_cones(seed, count):
+    """Seeded random cones of dimension 1-6 with their generators, lines and pool."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        d = rng.randint(1, 6)
         gens, lines = _random_pool(rng, d)
         if not gens and not lines:
             continue
         c = cone_from_generators(gens, lineality=lines, ambient=d)
         pool = gens + lines + [tuple(-x for x in v) for v in lines]
-        dim, expected = _reference_facets(pool, d)
+        out.append((d, c, pool))
+    return out
+
+
+def test_facet_enumeration_against_reference():
+    checked = {"lower_dim": 0, "lineality": 0, "facets": 0, "rays": 0}
+    for d, c, pool in _random_cones(48, 120):
+        dim, complement, expected = _reference_facets(pool, d)
+        forms = list(expected.values())
         assert c.dim == dim
         got = set()
         for nu in c.normals:
@@ -443,9 +470,108 @@ def test_facet_enumeration_against_reference():
             assert _ref_rank(tight, d) == dim - 1
             got.add(frozenset(i for i, v in enumerate(values) if v == 0))
         # no facet is missing and none is counted twice
-        assert got == expected
+        assert got == set(expected)
         assert len(c.normals) == len(expected)
+
+        lin = d - _ref_rank(complement + forms, d)
+        assert len(c.lineality) == lin
+        # lineality and equations are bases of saturated lattices
+        assert _is_saturated(c.lineality, d) and _is_saturated(c.equations, d)
+        for line in c.lineality:
+            assert _reference_contains(line, complement, forms)
+            assert all(_pairing(u, line) == 0 for u in forms)
+
+        def on_face(x):
+            """Pool indices on the smallest face containing x."""
+            zero = [u for u in forms if _pairing(u, x) == 0]
+            return frozenset(
+                i for i, g in enumerate(pool) if all(_pairing(u, g) == 0 for u in zero)
+            )
+
+        got_rays = set()
+        for ray in c.rays:
+            assert _reference_contains(ray, complement, forms)
+            face = on_face(ray)
+            # its tight generators span a face of dimension lin + 1
+            assert _ref_rank([pool[i] for i in face], d) == lin + 1
+            got_rays.add(face)
+        # every extreme ray is spanned by a generator modulo the lineality
+        expected_rays = {
+            face
+            for face in map(on_face, pool)
+            if _ref_rank([pool[i] for i in face], d) == lin + 1
+        }
+        assert got_rays == expected_rays
+        assert len(c.rays) == len(expected_rays)
         checked["lower_dim"] += dim < d
         checked["lineality"] += bool(c.lineality)
         checked["facets"] += len(expected)
+        checked["rays"] += len(expected_rays)
     assert min(checked.values()) > 10, checked
+
+
+def test_round_trips_through_both_descriptions():
+    for d, c, _ in _random_cones(51, 150):
+        assert cone_from_inequalities(c.normals, c.equations, ambient=d) == c
+        assert cone_from_generators(c.generators(), ambient=d) == c
+
+
+def test_intersect_membership_against_reference():
+    rng = random.Random(52)
+    cones = _random_cones(53, 160)
+    inside = outside = 0
+    for (d, a, pool_a), (e, b, pool_b) in zip(cones[::2], cones[1::2]):
+        if d != e:
+            continue
+        got = intersect(a, b)
+        refs = []
+        for pool in (pool_a, pool_b):
+            _, complement, facets_ref = _reference_facets(pool, d)
+            refs.append((complement, list(facets_ref.values())))
+        points = [tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(20)]
+        for pool in (pool_a, pool_b):
+            for _ in range(10):
+                picked = rng.sample(pool, rng.randint(1, len(pool)))
+                points.append(tuple(sum(col) for col in zip(*picked)))
+        points.extend(got.generators())
+        for x in points:
+            expected = all(_reference_contains(x, *ref) for ref in refs)
+            assert got.contains(x) == expected
+            inside += expected
+            outside += not expected
+    assert inside > 100 and outside > 100, (inside, outside)
+
+
+def test_moving_cone_of_nine_columns_against_reference():
+    # r = 2 with nine columns: free rank 6, the intersection of nine cones
+    # on eight degree vectors each
+    data = make_data(
+        r=2,
+        c=1,
+        n=(3, 3, 3),
+        m=0,
+        l=((1, 3, 1), (1, 1, 3), (2, 2, 1)),
+        A=((-1, 1, 0), (-1, 0, 1)),
+        D=((0, 2, 2, -3, 2, 1, -3, -1, -2),),
+    )
+    assert validate(data) == []
+    mov = moving_cone(data)
+    degrees = [w.free for w in degree_map(data).degrees]
+    d = len(degrees[0])
+    assert d == 6 and mov.is_full_dim and mov.is_pointed
+    forms = []
+    for drop in range(len(degrees)):
+        pool = [w for j, w in enumerate(degrees) if j != drop]
+        _, complement, facets_ref = _reference_facets(pool, d)
+        assert complement == []
+        forms.extend(facets_ref.values())
+    for ray in mov.rays:
+        # every ray lies in each cone and is extreme in their intersection
+        assert all(_pairing(u, ray) >= 0 for u in forms)
+        assert _ref_rank([u for u in forms if _pairing(u, ray) == 0], d) == d - 1
+    for nu in mov.normals:
+        # every facet lies on a facet of one of the cones, so the
+        # intersection satisfies it too
+        tight = [ray for ray in mov.rays if _pairing(nu, ray) == 0]
+        assert _ref_rank(tight, d) == d - 1
+        assert any(all(_pairing(u, ray) == 0 for ray in tight) for u in forms)
