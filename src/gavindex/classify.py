@@ -560,10 +560,19 @@ def _relation_shape(rel) -> tuple:
     return min(plus, minus)
 
 
-def fingerprint(candidate: Candidate) -> tuple:
-    """Invariant grouping key: graded degrees, index, relation shape, blocks."""
-    data = candidate.data
-    dd = candidate.degrees
+def _canonical_degrees(dd: DegreeData) -> tuple:
+    if dd.free_rank == 1 and len(dd.torsion) == 1:
+        # Every automorphism of Z + Z/o maps (f, t) to (e*f, u*t + s*f)
+        # with e = +-1, u a unit mod o and s any residue.
+        (o,) = dd.torsion
+        pairs = [(kel.free[0], kel.tors[0]) for kel in dd.degrees]
+        return min(
+            tuple(sorted(((e * f,), ((u * t + s * f) % o,)) for f, t in pairs))
+            for e in (1, -1)
+            for u in range(1, o)
+            if math.gcd(u, o) == 1
+            for s in range(o)
+        )
     plus = sorted((kel.free, kel.tors) for kel in dd.degrees)
     minus = sorted(
         (
@@ -572,9 +581,22 @@ def fingerprint(candidate: Candidate) -> tuple:
         )
         for kel in dd.degrees
     )
-    # The grading group of a rank-one candidate admits the global sign
-    # flip as its only infinite-order symmetry; pick the smaller image.
-    degs = tuple(min(plus, minus))
+    return tuple(min(plus, minus))
+
+
+def fingerprint(candidate: Candidate) -> tuple:
+    """Invariant grouping key: graded degrees, index, relation shape, blocks.
+
+    The degrees are taken up to automorphisms of the grading group.  For
+    free rank one with cyclic torsion Z/o (the shape of every candidate
+    found at index 1-3) the key is the smallest image under all of them:
+    the sign of the free part, the units mod o and the shears
+    t -> t + s*f.  For any other shape only the global sign flip of both
+    parts is factored out, so two presentations of such a group may
+    still get different keys.
+    """
+    data = candidate.data
+    degs = _canonical_degrees(candidate.degrees)
     rels = tuple(sorted(_relation_shape(rel) for rel in relations(data)))
     blocks = tuple(
         sorted((data.n[i], tuple(sorted(data.l[i]))) for i in range(data.r + 1))
@@ -613,11 +635,22 @@ def dedupe(candidates: Sequence[Candidate]) -> DedupeResult:
 # ---------------------------------------------------------------------------
 # brute-force completeness oracle
 #
-# The box scans below avoid the divisor logic above entirely.  They
-# prune the raw parameter box with per-cone multiplier formulas solved
-# in closed form from the defining linear systems; min_integral_multiplier
-# reproduces each formula, and the test suite pins that equivalence.
-# Survivors go through the full verification pipeline.
+# The box scans below share no derivation with the enumeration above.
+# They consider every tuple of the box whose cone multipliers all
+# divide the index.  The multipliers are formulas solved in closed form
+# from the defining linear systems; min_integral_multiplier reproduces
+# each formula, and the test suite pins that equivalence.  The scans
+# find those tuples through one lemma: for x != 0 and any g,
+#
+#     |x| / gcd(x, g) divides iota  exactly when  x divides iota * g,
+#
+# since with h = gcd(x, g) the quotients x/h and g/h are coprime, so x/h
+# divides iota exactly when it divides iota * g/h.  A multiplier that
+# divides the index thus ties an unknown to the divisors of a fixed
+# number, and the scans list those divisors instead of walking windows
+# of values; the paper's bounds are never used.  Every multiplier is
+# still computed and tested at the end, so the divisor lists only decide
+# which tuples are looked at.  Survivors go through full verification.
 
 
 def _mult_ratio(numer: int, *congruent: int) -> int | None:
@@ -639,15 +672,23 @@ def _lcm_hits(iota: int, *mults: int | None) -> bool:
 def _box_s1(iota: int, bound: int) -> list[Params]:
     hits = []
     for l21 in range(2, bound + 1):
-        for d21 in range(-bound, -l21):
-            # Cones avoiding the second first-block column reduce to
-            # w4 * d21 = -t * (l21 + 1).
-            m_a = _mult_ratio(d21, l21 + 1)
-            if m_a is None or iota % m_a:
+        # Cones avoiding the second first-block column reduce to
+        # w4 * d21 = -t * (l21 + 1): m_a = |d21| / gcd(d21, l21 + 1),
+        # which by the lemma divides iota exactly when d21 divides
+        # iota*(l21 + 1).  The other cones give m_b = |y| / gcd(y, l21 + 1)
+        # with y = l21*d12 + d21, so y divides iota*(l21 + 1) as well and
+        # d12 = (y - d21) / l21.
+        divisors = _signed_divisors(iota * (l21 + 1))
+        for d21 in divisors:
+            if not -bound <= d21 < -l21:
                 continue
-            for d12 in range(3, bound + 1):
+            m_a = _mult_ratio(d21, l21 + 1)
+            for y in divisors:
+                d12, rest = divmod(y - d21, l21)
+                if rest or not 3 <= d12 <= bound:
+                    continue
                 values = (l21, d12, d21)
-                m_b = _mult_ratio(l21 * d12 + d21, l21 + 1)
+                m_b = _mult_ratio(y, l21 + 1)
                 if _lcm_hits(iota, m_a, m_b) and _ineq_s1(values):
                     hits.append(values)
     return hits
@@ -659,30 +700,50 @@ def _mult_leading(d01: int, el: int, d: int) -> int | None:
     return _mult_ratio(el * d01 + 2 * d, el + 2, d - d01)
 
 
+def _s2_columns(iota: int, bound: int, l21: int, l22: int) -> list[tuple[int, int]]:
+    # D = l21*(d22 - d21) + d21*(l21 - l22), so the gcd in m34 equals
+    # gcd(l21 - l22, d22 - d21), a divisor of l21 - l22, and by the
+    # lemma m34 | iota forces D | iota*(l21 - l22).  For each such D > 0,
+    # l22*d21 = -D (mod l21) needs g = gcd(l21, l22) to divide D and puts
+    # d21 in one residue class mod l21/g; |d22| <= bound with
+    # d22 = (D + l22*d21) / l21 cuts that class to a range.
+    g = math.gcd(l21, l22)
+    step = l21 // g
+    inverse = pow(l22 // g, -1, step)
+    columns = []
+    for minor in _divisors(iota * (l21 - l22)):
+        if minor % g:
+            continue
+        residue = -(minor // g) * inverse % step
+        lo = max(-bound, -((bound * l21 + minor) // l22))
+        hi = min(bound, (bound * l21 - minor) // l22)
+        for d21 in range(lo + (residue - lo) % step, hi + 1, step):
+            columns.append((d21, (minor + l22 * d21) // l21))
+    return columns
+
+
 def _box_s2(iota: int, bound: int) -> list[Params]:
     # The two cones containing both third-block columns share one
-    # multiplier: |D| / gcd(D, l21 - l22, d22 - d21) for the minor
-    # D = l21*d22 - l22*d21.  Since that multiplier must divide the
-    # index, D is confined to a short window once l21, d21, l22 are
-    # fixed, which keeps the pair scan small.
+    # multiplier m34 = |D| / gcd(D, l21 - l22, d22 - d21) for the minor
+    # D = l21*d22 - l22*d21.  The inequalities need
+    # -2*d22/l22 < d01 < -2*d21/l21, so only D > 0 is looked at.
     pairs = []
     for l21 in range(2, bound + 1):
-        for d21 in range(-bound, bound + 1):
-            for l22 in range(2, bound + 1):
-                if l21 == l22:
-                    if iota % l21:
-                        continue
-                    window = range(-bound, bound + 1)
-                else:
-                    reach = iota * abs(l21 - l22)
-                    lo = -(-(l22 * d21 - reach) // l21)
-                    hi = (l22 * d21 + reach) // l21
-                    window = range(max(lo, -bound), min(hi, bound) + 1)
-                for d22 in window:
-                    minor = l21 * d22 - l22 * d21
-                    m34 = _mult_ratio(minor, l21 - l22, d22 - d21)
-                    if m34 is not None and iota % m34 == 0:
-                        pairs.append((l21, d21, l22, d22, m34))
+        for l22 in range(2, bound + 1):
+            if l21 == l22:
+                # D = l21*(d22 - d21) and the gcd is |d22 - d21|, so
+                # m34 = l21 for every d22 > d21.
+                if iota % l21:
+                    continue
+                span = range(-bound, bound + 1)
+                columns = [(d21, d22) for d21 in span for d22 in span if d22 > d21]
+            else:
+                columns = _s2_columns(iota, bound, l21, l22)
+            for d21, d22 in columns:
+                minor = l21 * d22 - l22 * d21
+                m34 = _mult_ratio(minor, l21 - l22, d22 - d21)
+                if m34 is not None and iota % m34 == 0:
+                    pairs.append((l21, d21, l22, d22, m34))
     hits = []
     for l21, d21, l22, d22, m34 in pairs:
         # The other two multipliers divide the index only when
@@ -722,22 +783,33 @@ def _box_s34(setting_id: int, iota: int, bound: int) -> list[Params]:
             m1 = _mult_leading(d01, 1, d21)
             if m1 is not None and iota % m1 == 0:
                 heads.append((d01, d21, m1))
+    # The paired cones share m34 = |x| / gcd(x, l22 - 1, d22 - d21) with
+    # x = d22 - l22*d21.  Since d22 - d21 = x + (l22 - 1)*d21, the gcd
+    # is gcd(x, l22 - 1), so by the lemma m34 | iota exactly when
+    # x | iota*(l22 - 1): d22 runs over l22*d21 plus those divisors.
+    # Both settings' inequalities force x > 0: setting 3 states
+    # d22 > l22*d21 + l22, and in setting 4, 2*d22 > -d01*l22 with
+    # d01 <= -2*d21 gives d22 > l22*d21.
+    offsets = {l22: _divisors(iota * (l22 - 1)) for l22 in range(2, bound + 1)}
     hits = []
     for d01, d21, m1 in heads:
-        for l22 in range(2, bound + 1):
-            # d22 windows from the two remaining multipliers: one cone
-            # needs |l22*d01 + 2*d22| <= iota*(l22+2), the paired cones
-            # need |d22 - l22*d21| <= iota*(l22-1).
-            a2 = -iota * (l22 + 2) - l22 * d01
-            b2 = iota * (l22 + 2) - l22 * d01
-            lo = max(-(-a2 // 2), l22 * d21 - iota * (l22 - 1), -bound)
-            hi = min(b2 // 2, l22 * d21 + iota * (l22 - 1), bound)
-            for d22 in range(lo, hi + 1):
+        # |d22| <= bound and |x| <= iota*(l22 - 1) give
+        # l22*|d21| <= bound + iota*(l22 - 1), that is
+        # l22*(|d21| - iota) <= bound - iota, which ends the l22 loop
+        # early once |d21| > iota.
+        top = bound
+        if abs(d21) > iota:
+            top = min(bound, (bound - iota) // (abs(d21) - iota))
+        for l22 in range(2, top + 1):
+            for x in offsets[l22]:
+                d22 = l22 * d21 + x
+                if abs(d22) > bound:
+                    continue
                 values = (l22, d01, d21, d22)
                 if not spec.satisfied(values):
                     continue
                 m2 = _mult_leading(d01, l22, d22)
-                m34 = _mult_ratio(d22 - l22 * d21, 1 - l22, d22 - d21)
+                m34 = _mult_ratio(x, 1 - l22, d22 - d21)
                 mults = (m2, m34) if m1 is None else (m1, m2, m34)
                 if _lcm_hits(iota, *mults):
                     hits.append(values)
@@ -747,7 +819,11 @@ def _box_s34(setting_id: int, iota: int, bound: int) -> list[Params]:
 def _box_s5(iota: int, bound: int) -> list[Params]:
     hits = []
     for l21 in range(2, bound + 1):
-        for d21 in range(-bound, 0):
+        # m_a = l21 / gcd(l21, d21 - 1) divides iota exactly when
+        # l21 | iota*(d21 - 1) (the lemma with x = l21), that is when
+        # q = l21 / gcd(l21, iota) divides d21 - 1.
+        q = l21 // math.gcd(l21, iota)
+        for d21 in range(-bound + (bound + 1) % q, 0, q):
             values = (l21, d21)
             if not _ineq_s5(values):
                 continue
@@ -771,14 +847,19 @@ def _box_survivor_accepted(setting_id: int, values: Params, index: int) -> bool:
 
 
 def brute_force_box(setting_id: int, index: int, bound: int) -> tuple[Params, ...]:
-    """Exhaustive scan of the parameter box, independent of the bounds.
+    """Scan of the parameter box, independent of the paper's bounds.
 
-    Every raw parameter tuple with entries of absolute value at most
-    ``bound`` is considered, prefiltered only by the setting's own
-    inequalities and by the cone multiplier formulas, then fully
-    verified.  No divisor-enumeration shortcut of enumerate_setting is
-    reused, so agreement between the two routes is meaningful evidence
-    for the completeness of the stated parameter bounds.
+    Considers every parameter tuple with entries of absolute value at
+    most ``bound`` that satisfies the setting's own inequalities and
+    whose cone multipliers all divide ``index``, and fully verifies
+    those.  They are found through divisor lists taken from the
+    multiplier formulas, never from the finiteness bounds, and no
+    divisor-enumeration shortcut of enumerate_setting is reused, so
+    agreement between the two routes is meaningful evidence for the
+    completeness of the stated parameter bounds.  The cost grows with
+    the bound about linearly in settings 1 and 5, about as
+    bound * log(bound) in settings 3 and 4, and about quadratically in
+    setting 2.
     """
     if bound < 1:
         raise ValueError("bound must be a positive integer")

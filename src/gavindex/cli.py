@@ -522,7 +522,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     box.add_argument("--setting", type=int, required=True)
     box.add_argument("--index", type=int, required=True)
-    box.add_argument("--bound", type=int, default=60)
+    box.add_argument(
+        "--bound",
+        type=int,
+        default=60,
+        help="largest absolute value of any parameter in the box (default: 60)",
+    )
     box.add_argument("--out", help="write the report to this file")
     box.set_defaults(handler=cmd_box_search)
 

@@ -4,10 +4,14 @@ Frozen ground truths: the index-one searches of the five families, the
 matrix of setting 5 at (3, -2), and the boundary vertex set of setting
 1 at (2, 3, -3).  The multiplier formulas used by the box scan are
 checked against the generic linear-system solver on random input, since
-box completeness rests on them.
+box completeness rests on them.  The divisor-driven box filters are
+checked against window scans that walk every value the multiplier
+bounds allow.
 """
 
+import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -15,8 +19,19 @@ import pytest
 from gavindex import tropical
 from gavindex.classify import (
     SETTINGS,
+    Params,
+    _box_s1,
+    _box_s2,
+    _box_s5,
+    _box_s34,
+    _divisors,
+    _ineq_s1,
+    _ineq_s2,
+    _ineq_s5,
+    _lcm_hits,
     _mult_leading,
     _mult_ratio,
+    _signed_divisors,
     brute_force_box,
     classify_index,
     dedupe,
@@ -28,7 +43,7 @@ from gavindex.classify import (
 )
 from gavindex.errors import InvalidCandidate
 from gavindex.exactla import min_integral_multiplier
-from gavindex.gav_core import fan_from_index_sets, make_data
+from gavindex.gav_core import KElement, fan_from_index_sets, make_data
 from gavindex.polyhedra import intersect
 
 S5_INDEX_ONE = ((3, -2), (4, -3), (6, -5))
@@ -340,3 +355,198 @@ def test_marked_column_multiplier_formulas_match_solver():
         assert m_a == _solver((v01, (1, 0, 1, 0), tail, mark), (1, -1, -1, -1))
     # the three-column cone solves integrally at the first multiple
     assert _solver(((1, 0, 0, 0), (1, 0, 1, 0), mark), (-1, -1, -1)) == 1
+
+
+def test_fingerprint_invariant_under_grading_automorphisms():
+    # (f, t) -> (e*f, u*t + s*f mod o) is an automorphism of Z + Z/o, so
+    # rewriting every degree with it presents the same grading.
+    rng = random.Random(20261020)
+    pool = [
+        verify(1, (2, 3, -3), 1),
+        verify(5, (4, -3), 1),
+        verify(1, (3, 4, -8), 2),
+        verify(3, (7, -3, 0, 12), 2),
+    ]
+    for ver in pool:
+        cand = ver.candidate
+        dd = cand.degrees
+        (o,) = dd.torsion
+        units = [u for u in range(1, o) if math.gcd(u, o) == 1]
+        for _ in range(20):
+            e, u, s = rng.choice((1, -1)), rng.choice(units), rng.randrange(o)
+            degrees = tuple(
+                KElement((e * k.free[0],), ((u * k.tors[0] + s * k.free[0]) % o,))
+                for k in dd.degrees
+            )
+            moved = replace(cand, degrees=replace(dd, degrees=degrees))
+            assert fingerprint(moved) == fingerprint(cand), (cand.params, e, u, s)
+
+
+# ---------------------------------------------------------------------------
+# box filters against window scans
+#
+# The window scans below walk every value of each unknown inside the
+# window that its multiplier bounds allow and apply the same final
+# tests; they are the reference the divisor-driven filters must match.
+
+
+def _window_s1(iota: int, bound: int) -> list[Params]:
+    hits = []
+    for l21 in range(2, bound + 1):
+        for d21 in range(-bound, -l21):
+            # Cones avoiding the second first-block column reduce to
+            # w4 * d21 = -t * (l21 + 1).
+            m_a = _mult_ratio(d21, l21 + 1)
+            if m_a is None or iota % m_a:
+                continue
+            for d12 in range(3, bound + 1):
+                values = (l21, d12, d21)
+                m_b = _mult_ratio(l21 * d12 + d21, l21 + 1)
+                if _lcm_hits(iota, m_a, m_b) and _ineq_s1(values):
+                    hits.append(values)
+    return hits
+
+
+def _window_s2(iota: int, bound: int) -> list[Params]:
+    # The two cones containing both third-block columns share one
+    # multiplier: |D| / gcd(D, l21 - l22, d22 - d21) for the minor
+    # D = l21*d22 - l22*d21.  Since that multiplier must divide the
+    # index, D is confined to a short window once l21, d21, l22 are
+    # fixed, which keeps the pair scan small.
+    pairs = []
+    for l21 in range(2, bound + 1):
+        for d21 in range(-bound, bound + 1):
+            for l22 in range(2, bound + 1):
+                if l21 == l22:
+                    if iota % l21:
+                        continue
+                    window = range(-bound, bound + 1)
+                else:
+                    reach = iota * abs(l21 - l22)
+                    lo = -(-(l22 * d21 - reach) // l21)
+                    hi = (l22 * d21 + reach) // l21
+                    window = range(max(lo, -bound), min(hi, bound) + 1)
+                for d22 in window:
+                    minor = l21 * d22 - l22 * d21
+                    m34 = _mult_ratio(minor, l21 - l22, d22 - d21)
+                    if m34 is not None and iota % m34 == 0:
+                        pairs.append((l21, d21, l22, d22, m34))
+    hits = []
+    for l21, d21, l22, d22, m34 in pairs:
+        # The other two multipliers divide the index only when
+        # |l * d01 + 2d| <= iota * (l + 2), which confines d01 to a
+        # short window around -2d/l on both sides.
+        a1 = -iota * (l21 + 2) - 2 * d21
+        b1 = iota * (l21 + 2) - 2 * d21
+        a2 = -iota * (l22 + 2) - 2 * d22
+        b2 = iota * (l22 + 2) - 2 * d22
+        lo = max(-(-a1 // l21), -(-a2 // l22), -bound)
+        hi = min(b1 // l21, b2 // l22, bound)
+        for d01 in range(lo, hi + 1):
+            values = (l21, l22, d01, d21, d22)
+            if not _ineq_s2(values):
+                continue
+            m1 = _mult_leading(d01, l21, d21)
+            m2 = _mult_leading(d01, l22, d22)
+            if _lcm_hits(iota, m1, m2, m34):
+                hits.append(values)
+    return hits
+
+
+def _window_s34(setting_id: int, iota: int, bound: int) -> list[Params]:
+    spec = SETTINGS[setting_id]
+    conditional = setting_id == 4
+    heads = []
+    for d01 in range(-bound, bound + 1):
+        # |d01 + 2*d21| <= 3*iota is forced whenever the cone on the
+        # first four columns is listed, and covers the degenerate case
+        # 2*d21 + d01 = 0 where setting 4 omits that cone.
+        lo = -(-(-3 * iota - d01) // 2)
+        hi = (3 * iota - d01) // 2
+        for d21 in range(max(lo, -bound), min(hi, bound) + 1):
+            if conditional and 2 * d21 + d01 == 0:
+                heads.append((d01, d21, None))
+                continue
+            m1 = _mult_leading(d01, 1, d21)
+            if m1 is not None and iota % m1 == 0:
+                heads.append((d01, d21, m1))
+    hits = []
+    for d01, d21, m1 in heads:
+        for l22 in range(2, bound + 1):
+            # d22 windows from the two remaining multipliers: one cone
+            # needs |l22*d01 + 2*d22| <= iota*(l22+2), the paired cones
+            # need |d22 - l22*d21| <= iota*(l22-1).
+            a2 = -iota * (l22 + 2) - l22 * d01
+            b2 = iota * (l22 + 2) - l22 * d01
+            lo = max(-(-a2 // 2), l22 * d21 - iota * (l22 - 1), -bound)
+            hi = min(b2 // 2, l22 * d21 + iota * (l22 - 1), bound)
+            for d22 in range(lo, hi + 1):
+                values = (l22, d01, d21, d22)
+                if not spec.satisfied(values):
+                    continue
+                m2 = _mult_leading(d01, l22, d22)
+                m34 = _mult_ratio(d22 - l22 * d21, 1 - l22, d22 - d21)
+                mults = (m2, m34) if m1 is None else (m1, m2, m34)
+                if _lcm_hits(iota, *mults):
+                    hits.append(values)
+    return hits
+
+
+def _window_s5(iota: int, bound: int) -> list[Params]:
+    hits = []
+    for l21 in range(2, bound + 1):
+        for d21 in range(-bound, 0):
+            values = (l21, d21)
+            if not _ineq_s5(values):
+                continue
+            m_a = _mult_ratio(l21, d21 - 1)
+            m_b = _mult_ratio(l21 + 2 * d21, l21 + 2, d21 - 1)
+            # The three-column cone is always integrally solvable and
+            # contributes a factor of one.
+            if _lcm_hits(iota, m_a, m_b):
+                hits.append(values)
+    return hits
+
+
+_WINDOW_BOUNDS = {
+    1: range(1, 41),
+    2: range(1, 13),
+    3: [*range(1, 25), 32, 40],
+    4: [*range(1, 25), 32, 40],
+    5: range(1, 41),
+}
+
+
+@pytest.mark.parametrize("setting", [1, 2, 3, 4, 5])
+def test_box_filter_matches_window_scan(setting):
+    for iota in (1, 2, 3, 4):
+        for bound in _WINDOW_BOUNDS[setting]:
+            if setting == 1:
+                got, want = _box_s1(iota, bound), _window_s1(iota, bound)
+            elif setting == 2:
+                got, want = _box_s2(iota, bound), _window_s2(iota, bound)
+            elif setting == 5:
+                got, want = _box_s5(iota, bound), _window_s5(iota, bound)
+            else:
+                got = _box_s34(setting, iota, bound)
+                want = _window_s34(setting, iota, bound)
+            assert sorted(got) == sorted(want), (setting, iota, bound)
+            assert len(set(got)) == len(got)
+
+
+def test_divisor_lemma():
+    # |x| / gcd(x, g) divides iota exactly when x divides iota * g.
+    rng = random.Random(20261021)
+    cases = [(x, g, iota) for x in (-6, -1, 1, 6) for g in (0, 1) for iota in (1, 2, 3, 4)]
+    for _ in range(3000):
+        x = rng.choice((-1, 1)) * rng.randint(1, 60)
+        cases.append((x, rng.randint(-60, 60), rng.randint(1, 12)))
+    for x, g, iota in cases:
+        assert (iota % _mult_ratio(x, g) == 0) == ((iota * g) % x == 0), (x, g, iota)
+
+
+def test_divisors_against_trial_division():
+    for n in [*range(-200, 201), 3600, -4096, 10007, 2 * 3 * 5 * 7 * 11 * 13]:
+        expected = [d for d in range(1, abs(n) + 1) if n % d == 0]
+        assert _divisors(n) == expected
+        assert _signed_divisors(n) == [-d for d in reversed(expected)] + expected

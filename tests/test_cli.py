@@ -173,6 +173,16 @@ def test_gorenstein_mismatch_is_breach(capsys, worked_file, monkeypatch):
     assert "invariant breach" in report["error"]
 
 
+def test_gorenstein_affine_zero_cone(capsys, tmp_path):
+    # A listed fan need not be complete; the zero cone alone defines the
+    # affine case, where no cone condition constrains K_X.
+    path = tmp_path / "affine.json"
+    path.write_text(json.dumps(dict(WORKED, fan=[[]])))
+    code, report = run(capsys, "gorenstein", str(path))
+    assert code == 0
+    assert report["gorenstein_index"] == report["via_complex"] == report["via_cones"] == 1
+
+
 def test_gorenstein_toric_plane(capsys, tmp_path):
     path = tmp_path / "plane.json"
     path.write_text(
