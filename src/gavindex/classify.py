@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import logging
 import math
+from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
@@ -650,7 +651,11 @@ def dedupe(candidates: Sequence[Candidate]) -> DedupeResult:
 # number, and the scans list those divisors instead of walking windows
 # of values; the paper's bounds are never used.  Every multiplier is
 # still computed and tested at the end, so the divisor lists only decide
-# which tuples are looked at.  Survivors go through full verification.
+# which tuples are looked at.  The inequalities each setting states
+# shrink the loops in the same way: settings 3 and 4 drop the heads
+# (d01, d21) and the divisors that no tuple can complete, and setting 2
+# drops the column pairs whose window of d01 is empty, before any
+# multiplier is computed.  Survivors go through full verification.
 
 
 def _mult_ratio(numer: int, *congruent: int) -> int | None:
@@ -727,7 +732,7 @@ def _box_s2(iota: int, bound: int) -> list[Params]:
     # multiplier m34 = |D| / gcd(D, l21 - l22, d22 - d21) for the minor
     # D = l21*d22 - l22*d21.  The inequalities need
     # -2*d22/l22 < d01 < -2*d21/l21, so only D > 0 is looked at.
-    pairs = []
+    hits = []
     for l21 in range(2, bound + 1):
         for l22 in range(2, bound + 1):
             if l21 == l22:
@@ -740,42 +745,64 @@ def _box_s2(iota: int, bound: int) -> list[Params]:
             else:
                 columns = _s2_columns(iota, bound, l21, l22)
             for d21, d22 in columns:
+                # The other two multipliers divide the index only when
+                # |l * d01 + 2d| <= iota * (l + 2), which confines d01 to
+                # a short window around -2d/l on both sides.  The strict
+                # interval of the inequalities above cuts it further, to
+                # floor(-2*d22/l22) + 1 <= d01 <= ceil(-2*d21/l21) - 1,
+                # and a column whose window is empty is dropped before
+                # its minor is tested.
+                lo = max(
+                    -((iota * (l21 + 2) + 2 * d21) // l21),
+                    -((iota * (l22 + 2) + 2 * d22) // l22),
+                    -2 * d22 // l22 + 1,
+                    -bound,
+                )
+                hi = min(
+                    (iota * (l21 + 2) - 2 * d21) // l21,
+                    (iota * (l22 + 2) - 2 * d22) // l22,
+                    -(2 * d21 // l21) - 1,
+                    bound,
+                )
+                if lo > hi:
+                    continue
                 minor = l21 * d22 - l22 * d21
                 m34 = _mult_ratio(minor, l21 - l22, d22 - d21)
-                if m34 is not None and iota % m34 == 0:
-                    pairs.append((l21, d21, l22, d22, m34))
-    hits = []
-    for l21, d21, l22, d22, m34 in pairs:
-        # The other two multipliers divide the index only when
-        # |l * d01 + 2d| <= iota * (l + 2), which confines d01 to a
-        # short window around -2d/l on both sides.
-        a1 = -iota * (l21 + 2) - 2 * d21
-        b1 = iota * (l21 + 2) - 2 * d21
-        a2 = -iota * (l22 + 2) - 2 * d22
-        b2 = iota * (l22 + 2) - 2 * d22
-        lo = max(-(-a1 // l21), -(-a2 // l22), -bound)
-        hi = min(b1 // l21, b2 // l22, bound)
-        for d01 in range(lo, hi + 1):
-            values = (l21, l22, d01, d21, d22)
-            if not _ineq_s2(values):
-                continue
-            m1 = _mult_leading(d01, l21, d21)
-            m2 = _mult_leading(d01, l22, d22)
-            if _lcm_hits(iota, m1, m2, m34):
-                hits.append(values)
+                if m34 is None or iota % m34:
+                    continue
+                for d01 in range(lo, hi + 1):
+                    values = (l21, l22, d01, d21, d22)
+                    if not _ineq_s2(values):
+                        continue
+                    m1 = _mult_leading(d01, l21, d21)
+                    m2 = _mult_leading(d01, l22, d22)
+                    if _lcm_hits(iota, m1, m2, m34):
+                        hits.append(values)
     return hits
 
 
 def _box_s34(setting_id: int, iota: int, bound: int) -> list[Params]:
     spec = SETTINGS[setting_id]
     conditional = setting_id == 4
+    # The paired cones share m34 = |x| / gcd(x, l22 - 1, d22 - d21) with
+    # x = d22 - l22*d21.  Since d22 - d21 = x + (l22 - 1)*d21, the gcd
+    # is gcd(x, l22 - 1), so by the lemma m34 | iota exactly when
+    # x | iota*(l22 - 1): d22 runs over l22*d21 plus those divisors.
+    # With k = -(d01 + 2*d21), both settings' 2*d22 > -d01*l22 reads
+    # 2*x > k*l22.  Setting 3 states -2*d21 > d01, that is k >= 1, and
+    # setting 4 states 1 - 2*d21 > d01, that is k >= 0, so x > 0 in both.
+    # Since x <= iota*(l22 - 1) < iota*l22, no x is left once
+    # k >= 2*iota.  None of this involves l22 or d22, so the heads
+    # (d01, d21) are cut to kmin <= k <= 2*iota - 1 before the l22 loop.
+    # That range includes k = 0, the degenerate case 2*d21 + d01 = 0
+    # where setting 4 omits the cone on the first four columns.
+    kmin = 0 if conditional else 1
     heads = []
     for d01 in range(-bound, bound + 1):
-        # |d01 + 2*d21| <= 3*iota is forced whenever the cone on the
-        # first four columns is listed, and covers the degenerate case
-        # 2*d21 + d01 = 0 where setting 4 omits that cone.
-        lo = -(-(-3 * iota - d01) // 2)
-        hi = (3 * iota - d01) // 2
+        # 2*d21 = -d01 - k, so k <= 2*iota - 1 sets the lowest d21 and
+        # k >= kmin the highest.
+        lo = -((d01 + 2 * iota - 1) // 2)
+        hi = (-d01 - kmin) // 2
         for d21 in range(max(lo, -bound), min(hi, bound) + 1):
             if conditional and 2 * d21 + d01 == 0:
                 heads.append((d01, d21, None))
@@ -783,16 +810,16 @@ def _box_s34(setting_id: int, iota: int, bound: int) -> list[Params]:
             m1 = _mult_leading(d01, 1, d21)
             if m1 is not None and iota % m1 == 0:
                 heads.append((d01, d21, m1))
-    # The paired cones share m34 = |x| / gcd(x, l22 - 1, d22 - d21) with
-    # x = d22 - l22*d21.  Since d22 - d21 = x + (l22 - 1)*d21, the gcd
-    # is gcd(x, l22 - 1), so by the lemma m34 | iota exactly when
-    # x | iota*(l22 - 1): d22 runs over l22*d21 plus those divisors.
-    # Both settings' inequalities force x > 0: setting 3 states
-    # d22 > l22*d21 + l22, and in setting 4, 2*d22 > -d01*l22 with
-    # d01 <= -2*d21 gives d22 > l22*d21.
-    offsets = {l22: _divisors(iota * (l22 - 1)) for l22 in range(2, bound + 1)}
+    # Setting 3 also states d22 > l22*d21 + l22, that is x > l22, and
+    # with x <= iota*(l22 - 1) that needs (iota - 1)*l22 > iota: l22
+    # starts past iota/(iota - 1), and at iota = 1 no l22 is left.
+    first = 2
+    if not conditional:
+        first = iota // (iota - 1) + 1 if iota > 1 else bound + 1
+    offsets = {l22: _divisors(iota * (l22 - 1)) for l22 in range(first, bound + 1)}
     hits = []
     for d01, d21, m1 in heads:
+        k = -(d01 + 2 * d21)
         # |d22| <= bound and |x| <= iota*(l22 - 1) give
         # l22*|d21| <= bound + iota*(l22 - 1), that is
         # l22*(|d21| - iota) <= bound - iota, which ends the l22 loop
@@ -800,11 +827,16 @@ def _box_s34(setting_id: int, iota: int, bound: int) -> list[Params]:
         top = bound
         if abs(d21) > iota:
             top = min(bound, (bound - iota) // (abs(d21) - iota))
-        for l22 in range(2, top + 1):
-            for x in offsets[l22]:
+        for l22 in range(first, top + 1):
+            # The ascending divisor list is entered just past the floor
+            # that 2*x > k*l22 (and x > l22 in setting 3) sets, and left
+            # where |d22| <= bound ends.
+            floor = max(k * l22 // 2, -bound - l22 * d21 - 1, 0 if conditional else l22)
+            divisors = offsets[l22]
+            start = bisect_right(divisors, floor)
+            stop = bisect_right(divisors, bound - l22 * d21)
+            for x in divisors[start:stop]:
                 d22 = l22 * d21 + x
-                if abs(d22) > bound:
-                    continue
                 values = (l22, d01, d21, d22)
                 if not spec.satisfied(values):
                     continue
@@ -856,10 +888,13 @@ def brute_force_box(setting_id: int, index: int, bound: int) -> tuple[Params, ..
     multiplier formulas, never from the finiteness bounds, and no
     divisor-enumeration shortcut of enumerate_setting is reused, so
     agreement between the two routes is meaningful evidence for the
-    completeness of the stated parameter bounds.  The cost grows with
-    the bound about linearly in settings 1 and 5, about as
-    bound * log(bound) in settings 3 and 4, and about quadratically in
-    setting 2.
+    completeness of the stated parameter bounds.  The setting's own
+    inequalities cut the loops before any multiplier is tested.  The
+    cost grows with the bound about linearly in settings 1 and 5, about
+    as bound * log(bound) in settings 3 and 4, and about quadratically
+    in setting 2, which skips the column pairs whose window of d01 is
+    empty.  Setting 3 at index 1 costs only its loop over (d01, d21),
+    since no tuple satisfies it.
     """
     if bound < 1:
         raise ValueError("bound must be a positive integer")

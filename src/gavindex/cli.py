@@ -13,6 +13,7 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 from . import tropical
@@ -89,6 +90,17 @@ def _integer(x) -> int:
     return x
 
 
+def _rational(x) -> Fraction:
+    """An exact rational from a JSON number or string.
+
+    Exponent notation is refused in strings: a few characters such as
+    "1e999999999" would expand to a number of a billion digits.
+    """
+    if isinstance(x, str) and "e" in x.lower():
+        raise ValueError(f"exponent notation is not accepted, got {json.dumps(x)}")
+    return Fraction(str(x))
+
+
 def parse_input(text: str) -> InputDocument:
     """Parse a JSON input document, reporting malformed text with location."""
     try:
@@ -109,7 +121,7 @@ def parse_input(text: str) -> InputDocument:
             n=tuple(_integer(x) for x in raw["n"]),
             m=_integer(raw["m"]),
             l=tuple(tuple(_integer(x) for x in li) for li in raw["l"]),
-            A=tuple(tuple(Fraction(str(x)) for x in row) for row in raw["A"]),
+            A=tuple(tuple(_rational(x) for x in row) for row in raw["A"]),
             D=tuple(tuple(_integer(x) for x in row) for row in raw["D"]),
             fan=(
                 tuple(tuple(_integer(i) for i in cone) for cone in raw["fan"])
@@ -457,7 +469,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INVALID, f"{self.prog}: error: {message}\n")
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process.
+
+    Building it costs about as much as a small command, and parse_args
+    keeps no state between calls, so every call of main shares it.
+    """
     parser = _Parser(
         prog="gavindex",
         description=(

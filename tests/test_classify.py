@@ -519,7 +519,10 @@ _WINDOW_BOUNDS = {
 
 @pytest.mark.parametrize("setting", [1, 2, 3, 4, 5])
 def test_box_filter_matches_window_scan(setting):
-    for iota in (1, 2, 3, 4):
+    # The cuts that settings 2-4 take from their inequalities depend on
+    # the index (a head of setting 3 or 4 needs -(d01 + 2*d21) < 2*index),
+    # so those settings are compared at more indices.
+    for iota in range(1, 7 if setting in (2, 3, 4) else 5):
         for bound in _WINDOW_BOUNDS[setting]:
             if setting == 1:
                 got, want = _box_s1(iota, bound), _window_s1(iota, bound)
@@ -532,6 +535,12 @@ def test_box_filter_matches_window_scan(setting):
                 want = _window_s34(setting, iota, bound)
             assert sorted(got) == sorted(want), (setting, iota, bound)
             assert len(set(got)) == len(got)
+
+
+def test_box_setting_three_index_one_is_empty():
+    # x = d22 - l22*d21 would need l22 < x <= l22 - 1.
+    assert _box_s34(3, 1, 200) == []
+    assert _window_s34(3, 1, 60) == []
 
 
 def test_divisor_lemma():

@@ -1,6 +1,8 @@
 """End-to-end command tests driving cli.main with in-process argv."""
 
+import copy
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,6 +18,14 @@ WORKED = {
     "A": [["-1", "1", "0"], ["-1", "0", "1"]],
     "D": [[-1, -2, 1, 2]],
     "fan": [[0, 2, 3], [1, 2, 3], [0, 1]],
+}
+
+# Without a listed fan, gorenstein finds this document not Fano (exit 2).
+NOT_FANO = {
+    "r": 2, "c": 1, "n": [1, 2, 2], "m": 0,
+    "l": [[2], [1, 1], [1, 2]],
+    "A": [["-1", "1", "0"], ["-1", "0", "1"]],
+    "D": [[-1, 0, 1, 0, 0], [0, 0, 0, 0, 1]],
 }
 
 
@@ -83,12 +93,13 @@ def _with_entry(field, value):
         (_with_entry("D", -1.5), "expected an integer, got -1.5"),
         (_with_entry("D", True), "expected an integer, got true"),
         (_with_entry("A", "1/0"), "malformed field"),
+        (_with_entry("A", "1e999999999"), "exponent notation"),
     ],
-    ids=["fractional-integer", "boolean-integer", "zero-denominator"],
+    ids=["fractional-integer", "boolean-integer", "zero-denominator", "huge-exponent"],
 )
 def test_malformed_values_are_refused(capsys, tmp_path, doc, message):
     # these documents used to be truncated to index 12, read as index 5,
-    # or end in a traceback
+    # end in a traceback, or expand one entry to a billion digits
     path = tmp_path / "malformed.json"
     path.write_text(json.dumps(doc))
     code, report = run(capsys, "gorenstein", str(path))
@@ -203,14 +214,8 @@ def test_gorenstein_toric_rejects_inconsistent_cone(capsys, tmp_path):
 
 
 def test_gorenstein_not_fano_without_fan(capsys, tmp_path):
-    doc = {
-        "r": 2, "c": 1, "n": [1, 2, 2], "m": 0,
-        "l": [[2], [1, 1], [1, 2]],
-        "A": [["-1", "1", "0"], ["-1", "0", "1"]],
-        "D": [[-1, 0, 1, 0, 0], [0, 0, 0, 0, 1]],
-    }
     path = tmp_path / "notfano.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(NOT_FANO))
     code, report = run(capsys, "gorenstein", str(path))
     assert code == 2
     assert "error" in report
@@ -288,3 +293,107 @@ def test_bad_flag_exits_one(worked_file):
     with pytest.raises(SystemExit) as info:
         cli.main(["gorenstein", worked_file, "--method", "bogus"])
     assert info.value.code == 1
+
+
+def test_one_process_matches_fresh_parsers(capsys, worked_file):
+    # main reuses one parser per process; a failed parse must leave
+    # nothing behind that changes the next command.
+    argvs = [
+        ["gorenstein", worked_file, "--method", "bogus"],
+        ["gorenstein", worked_file, "--method", "cones"],
+        ["oracle", "box-search", "--setting", "5", "--index", "1", "--bound", "30"],
+        ["info", worked_file],
+    ]
+
+    def call(argv):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    shared = [call(argv) for argv in argvs]
+    fresh = []
+    for argv in argvs:
+        cli.build_parser.cache_clear()
+        fresh.append(call(argv))
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [1, 0, 0, 0]
+
+
+# ---------------------------------------------------------------------------
+# fuzzed documents
+#
+# Seeded mutations of the README document and the documents above: one
+# entry replaced by a value of a wrong type or size, a field or entry
+# dropped, a row made ragged, or the JSON text cut short.  Every case
+# must end in exactly one JSON report and a documented exit code.
+
+FUZZ_BASES = (
+    WORKED,
+    {k: v for k, v in WORKED.items() if k != "fan"},
+    dict(WORKED, l=[[2, 2], [2], [3]], D=[[1, 1, 1, 2]], fan=None),
+    NOT_FANO,
+)
+FUZZ_VALUES = (
+    1.5, -0.0, True, False, None, "x", "7", "1/0",
+    10**30, -10**30, 0, -1, 2, [], {}, [1],
+)
+
+
+def _positions(obj, prefix=()):
+    """Paths to every entry below the top level of a JSON value."""
+    children = obj.items() if isinstance(obj, dict) else (
+        enumerate(obj) if isinstance(obj, list) else ()
+    )
+    for key, child in children:
+        yield prefix + (key,)
+        yield from _positions(child, prefix + (key,))
+
+
+def _entry(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _mutated(rng: random.Random, doc: dict) -> str:
+    doc = copy.deepcopy(doc)
+    kind = rng.choice(("value", "drop", "ragged", "truncate"))
+    positions = list(_positions(doc))
+    if kind in ("value", "drop"):
+        *path, last = rng.choice(positions)
+        holder = _entry(doc, path)
+        if kind == "value":
+            holder[last] = rng.choice(FUZZ_VALUES)
+        else:
+            del holder[last]
+    elif kind == "ragged":
+        rows = [p for p in positions if isinstance(_entry(doc, p), list)]
+        row = _entry(doc, rng.choice(rows))
+        if row and rng.random() < 0.5:
+            row.pop(rng.randrange(len(row)))
+        else:
+            row.insert(rng.randrange(len(row) + 1), rng.choice((-1, 0, 1, 2)))
+    text = json.dumps(doc)
+    if kind == "truncate":
+        text = text[: rng.randrange(len(text))]
+    return text
+
+
+def test_fuzzed_documents_end_in_one_report(capsys, tmp_path):
+    rng = random.Random(20261020)
+    path = tmp_path / "fuzzed.json"
+    codes = set()
+    for case in range(300):
+        text = _mutated(rng, rng.choice(FUZZ_BASES))
+        command = rng.choice(("validate", "info", "fan", "acomplex", "gorenstein"))
+        path.write_text(text)
+        code = cli.main([command, str(path)])
+        report = json.loads(capsys.readouterr().out)
+        assert isinstance(report, dict), (case, command, text)
+        assert code in (0, 1, 2, 3), (case, command, text)
+        codes.add(code)
+    # the mutations reach past parsing into the computations
+    assert {0, 1, 2} <= codes
