@@ -37,11 +37,12 @@ from .polyhedra import (
     Cell,
     Cone,
     Fan,
+    columns_in,
     cone_from_generators,
-    contains_cone,
     facet_key,
     intersect,
     level_cut,
+    maximal_cones,
     truncate,
 )
 
@@ -56,15 +57,10 @@ def default_fan(data: ArrangementData) -> Fan:
     return fan
 
 
-def _columns_inside(data: ArrangementData, cone: Cone) -> list[int]:
-    cols = data.columns()
-    return [j for j in range(data.num_cols) if cone.contains(cols[j])]
-
-
 def _admissible_block_indices(data: ArrangementData, cone: Cone) -> list[int]:
     """Block indices without a column of their block inside the cone."""
     blocked = set()
-    for j in _columns_inside(data, cone):
+    for j in columns_in(data.columns(), cone):
         block = data.block_of_column(j)
         if block is not None:
             blocked.add(block)
@@ -72,8 +68,12 @@ def _admissible_block_indices(data: ArrangementData, cone: Cone) -> list[int]:
 
 
 def _support_for_index(data: ArrangementData, parent: Cone, i: int) -> RatVec:
+    """Rational form that is -1 on the truncation level for block index i.
+
+    The linear system runs over all matrix columns inside the parent.
+    """
     cols = data.columns()
-    inside = _columns_inside(data, parent)
+    inside = columns_in(cols, parent)
     rows = [cols[j] for j in inside]
     rhs = []
     for j in inside:
@@ -87,23 +87,6 @@ def _support_for_index(data: ArrangementData, parent: Cone, i: int) -> RatVec:
             "support system on the cone has no rational solution", cone=parent
         )
     return u
-
-
-def support_function(
-    data: ArrangementData, cone: Cone, parent: Cone | None = None
-) -> RatVec:
-    """Rational linear form evaluating to -1 on the cone's truncation level.
-
-    The linear system runs over all matrix columns inside the parent
-    (the cone itself by default); the block index is the smallest one
-    with no column of its block inside `cone`.
-    """
-    if parent is None:
-        parent = cone
-    admissible = _admissible_block_indices(data, cone)
-    if not admissible:
-        raise ValueError("every block has a column inside the cone")
-    return _support_for_index(data, parent, admissible[0])
 
 
 @dataclass(frozen=True)
@@ -177,7 +160,7 @@ def build_complex(data: ArrangementData, fan: Fan | None = None) -> Anticanonica
     cols = data.columns()
     for sigma in fan.maximal:
         generated = cone_from_generators(
-            [c for c in cols if sigma.contains(c)], ambient=data.ambient_dim
+            [cols[j] for j in columns_in(cols, sigma)], ambient=data.ambient_dim
         )
         if generated != sigma:
             raise ValueError(
@@ -188,18 +171,12 @@ def build_complex(data: ArrangementData, fan: Fan | None = None) -> Anticanonica
         _check_leaf_covering(trop, fan)
 
     parents_of: dict[Cone, list[Cone]] = {}
-    order: list[Cone] = []
     for sigma in fan.maximal:
         for combo in itertools.combinations(range(trop.r + 1), trop.c):
-            piece = intersect(sigma, trop.leaf(combo))
-            if piece not in parents_of:
-                parents_of[piece] = []
-                order.append(piece)
-            if sigma not in parents_of[piece]:
-                parents_of[piece].append(sigma)
-    maximal = [
-        p for p in order if not any(q != p and contains_cone(q, p) for q in order)
-    ]
+            parents = parents_of.setdefault(intersect(sigma, trop.leaf(combo)), [])
+            if sigma not in parents:
+                parents.append(sigma)
+    maximal = maximal_cones(parents_of)
 
     infos = []
     boundary: dict[tuple, Cell] = {}
@@ -310,7 +287,7 @@ def cone_multiplier(data: ArrangementData, cone: Cone) -> int:
     Computed for every block index; the results must agree.
     """
     cols = data.columns()
-    inside = _columns_inside(data, cone)
+    inside = columns_in(cols, cone)
     rows = tuple(cols[j] for j in inside)
     found = []
     for i in range(data.r + 1):

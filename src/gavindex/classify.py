@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import logging
 import math
+import os
 from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -950,9 +951,10 @@ def classify_index(
     """Enumerate, verify and group candidates for one Gorenstein index.
 
     Verification of individual tuples is embarrassingly parallel; with
-    jobs > 1 the tuples are farmed out to worker processes.  Results
-    are reassembled in canonical tuple order, so the report does not
-    depend on scheduling.
+    jobs > 1 the tuples are farmed out to worker processes, at most one
+    per tuple and per CPU, since a pool may start all its workers at
+    once.  Results are reassembled in canonical tuple order, so the
+    report does not depend on scheduling.
     """
     tasks: list[tuple[int, Params, int]] = []
     enumerated: dict[int, tuple[Params, ...]] = {}
@@ -961,8 +963,9 @@ def classify_index(
         enumerated[sid] = tuples
         tasks.extend((sid, v, index) for v in tuples)
 
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_verify_task, tasks, chunksize=8))
     else:
         results = [_verify_task(t) for t in tasks]

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
@@ -64,23 +63,8 @@ class DocumentError(GavError):
 # input documents
 
 
-@dataclass(frozen=True)
-class InputDocument:
-    """Parsed matrix-data document.
-
-    Column order in D and fan index sets: the blocks 0..r in order,
-    then the m extra columns.  A fan of None means the default ample
-    fan of the anticanonical class is used downstream.
-    """
-
-    r: int
-    c: int
-    n: tuple[int, ...]
-    m: int
-    l: tuple[tuple[int, ...], ...]
-    A: tuple[tuple[Fraction, ...], ...]
-    D: tuple[tuple[int, ...], ...]
-    fan: tuple[tuple[int, ...], ...] | None = None
+class Violations(GavError):
+    """An input document parsed, but its data is not admissible; args[0] lists why."""
 
 
 def _integer(x) -> int:
@@ -101,21 +85,34 @@ def _rational(x) -> Fraction:
     return Fraction(str(x))
 
 
-def parse_input(text: str) -> InputDocument:
-    """Parse a JSON input document, reporting malformed text with location."""
+def _json(text: str):
+    """Decode JSON text, reporting malformed text with its location."""
     try:
-        raw = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError(
             f"parse error at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+
+
+IndexSets = tuple[tuple[int, ...], ...]
+
+
+def parse_input(text: str) -> tuple[ArrangementData, IndexSets | None]:
+    """Parse a matrix-data document into its data and its listed fan.
+
+    Column order in D and the fan's index sets: the blocks 0..r in
+    order, then the m extra columns.  A fan of None means the default
+    ample fan of the anticanonical class is used downstream.
+    """
+    raw = _json(text)
     if not isinstance(raw, dict):
         raise DocumentError("the top level must be a JSON object")
     missing = [k for k in ("r", "c", "n", "m", "l", "A", "D") if k not in raw]
     if missing:
         raise DocumentError("missing fields: " + ", ".join(missing))
     try:
-        doc = InputDocument(
+        fields = dict(
             r=_integer(raw["r"]),
             c=_integer(raw["c"]),
             n=tuple(_integer(x) for x in raw["n"]),
@@ -123,35 +120,24 @@ def parse_input(text: str) -> InputDocument:
             l=tuple(tuple(_integer(x) for x in li) for li in raw["l"]),
             A=tuple(tuple(_rational(x) for x in row) for row in raw["A"]),
             D=tuple(tuple(_integer(x) for x in row) for row in raw["D"]),
-            fan=(
-                tuple(tuple(_integer(i) for i in cone) for cone in raw["fan"])
-                if raw.get("fan") is not None
-                else None
-            ),
+        )
+        fan = (
+            tuple(tuple(_integer(i) for i in cone) for cone in raw["fan"])
+            if raw.get("fan") is not None
+            else None
         )
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise DocumentError(f"malformed field: {exc}") from exc
-    return doc
+    return make_data(**fields), fan
 
 
-def print_input(doc: InputDocument) -> str:
-    """Serialize an input document; parse_input inverts this exactly."""
-    raw = {
-        "r": doc.r,
-        "c": doc.c,
-        "n": list(doc.n),
-        "m": doc.m,
-        "l": [list(li) for li in doc.l],
-        "A": [[str(x) for x in row] for row in doc.A],
-        "D": [list(row) for row in doc.D],
-    }
-    if doc.fan is not None:
-        raw["fan"] = [list(cone) for cone in doc.fan]
-    return json.dumps(raw, indent=2, sort_keys=True) + "\n"
-
-
-def document_data(doc: InputDocument) -> ArrangementData:
-    return make_data(r=doc.r, c=doc.c, n=doc.n, m=doc.m, l=doc.l, A=doc.A, D=doc.D)
+def _admissible(text: str) -> tuple[ArrangementData, IndexSets | None]:
+    """The parsed document, or Violations when its data is not admissible."""
+    data, fan = parse_input(text)
+    violations = validate(data)
+    if violations:
+        raise Violations(violations)
+    return data, fan
 
 
 def _load(path: str) -> str:
@@ -198,16 +184,10 @@ def _emit(report: dict, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _data_or_violations(doc: InputDocument):
-    """Build arrangement data, returning (data, violations)."""
-    data = document_data(doc)
-    return data, validate(data)
-
-
-def _resolve_fan(doc: InputDocument, data: ArrangementData) -> Fan:
+def _resolve_fan(data: ArrangementData, index_sets: IndexSets | None) -> Fan:
     """The listed fan, or the ample fan of -K when the document has none."""
-    if doc.fan is not None:
-        return fan_from_index_sets(data, doc.fan)
+    if index_sets is not None:
+        return fan_from_index_sets(data, index_sets)
     return default_fan(data)
 
 
@@ -216,11 +196,11 @@ def _resolve_fan(doc: InputDocument, data: ArrangementData) -> Fan:
 
 
 def cmd_validate(args) -> tuple[int, dict]:
-    doc = parse_input(_load(args.file))
-    data, violations = _data_or_violations(doc)
-    if doc.fan is not None and not violations:
+    data, fan = parse_input(_load(args.file))
+    violations = validate(data)
+    if fan is not None and not violations:
         try:
-            fan_from_index_sets(data, doc.fan)
+            fan_from_index_sets(data, fan)
         except (ValueError, GavError) as exc:
             violations.append(f"fan: {exc}")
     report = {
@@ -232,10 +212,7 @@ def cmd_validate(args) -> tuple[int, dict]:
 
 
 def cmd_info(args) -> tuple[int, dict]:
-    doc = parse_input(_load(args.file))
-    data, violations = _data_or_violations(doc)
-    if violations:
-        return EXIT_INVALID, {"command": "info", "violations": violations}
+    data, _ = _admissible(_load(args.file))
     dd = degree_map(data)
     ak = anticanonical_class(data)
     mov = moving_cone(data)
@@ -254,11 +231,8 @@ def cmd_info(args) -> tuple[int, dict]:
 
 
 def cmd_fan(args) -> tuple[int, dict]:
-    doc = parse_input(_load(args.file))
-    data, violations = _data_or_violations(doc)
-    if violations:
-        return EXIT_INVALID, {"command": "fan", "violations": violations}
-    fan = _resolve_fan(doc, data)
+    data, listed = _admissible(_load(args.file))
+    fan = _resolve_fan(data, listed)
     trop = tropical.trop_structure(data.r, data.c, data.s)
     labels = data.column_labels()
     cones = []
@@ -281,7 +255,7 @@ def cmd_fan(args) -> tuple[int, dict]:
     report = {
         "command": "fan",
         "ambient": fan.ambient,
-        "source": "listed" if doc.fan is not None else "anticanonical",
+        "source": "listed" if listed is not None else "anticanonical",
         "rays": _plain(data.columns()),
         "maximal_cones": cones,
     }
@@ -289,10 +263,7 @@ def cmd_fan(args) -> tuple[int, dict]:
 
 
 def cmd_trop(args) -> tuple[int, dict]:
-    doc = parse_input(_load(args.file))
-    data, violations = _data_or_violations(doc)
-    if violations:
-        return EXIT_INVALID, {"command": "trop", "violations": violations}
+    data, _ = _admissible(_load(args.file))
     trop = tropical.trop_structure(data.r, data.c, data.s)
     report = {
         "command": "trop",
@@ -307,11 +278,8 @@ def cmd_trop(args) -> tuple[int, dict]:
 
 
 def cmd_acomplex(args) -> tuple[int, dict]:
-    doc = parse_input(_load(args.file))
-    data, violations = _data_or_violations(doc)
-    if violations:
-        return EXIT_INVALID, {"command": "acomplex", "violations": violations}
-    fan = _resolve_fan(doc, data)
+    data, listed = _admissible(_load(args.file))
+    fan = _resolve_fan(data, listed)
     cx = build_complex(data, fan)
     rep = distance_report(cx)
     multipliers = [
@@ -350,30 +318,21 @@ def _toric_fan(raw: dict) -> Fan:
     cones = [
         cone_from_generators(tuple(rays[i] for i in iset)) for iset in isets
     ]
-    return make_fan(cones, validate=True, index_sets=isets)
+    return make_fan(cones, validate=True)
 
 
 def cmd_gorenstein(args) -> tuple[int, dict]:
     text = _load(args.file)
     if args.toric:
-        try:
-            raw = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise DocumentError(
-                f"parse error at line {exc.lineno} column {exc.colno}: {exc.msg}"
-            ) from exc
-        fan = _toric_fan(raw)
+        fan = _toric_fan(_json(text))
         value = toric_gorenstein_index(fan)
         return EXIT_OK, {
             "command": "gorenstein",
             "method": "toric",
             "gorenstein_index": value,
         }
-    doc = parse_input(text)
-    data, violations = _data_or_violations(doc)
-    if violations:
-        return EXIT_INVALID, {"command": "gorenstein", "violations": violations}
-    fan = _resolve_fan(doc, data)
+    data, listed = _admissible(text)
+    fan = _resolve_fan(data, listed)
     report: dict = {"command": "gorenstein", "method": args.method}
     if args.method in ("complex", "both"):
         report["via_complex"] = gorenstein_index_via_complex(data, fan)
@@ -395,6 +354,8 @@ def cmd_classify(args) -> tuple[int, dict]:
             "command": "classify",
             "error": f"index must be between 1 and {INDEX_CAP}",
         }
+    if args.jobs < 1:
+        return EXIT_INVALID, {"command": "classify", "error": "jobs must be at least 1"}
     try:
         settings = tuple(
             sorted({int(s) for s in args.settings.split(",") if s.strip()})
@@ -558,6 +519,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         code, report = args.handler(args)
     except DocumentError as exc:
         code, report = EXIT_INVALID, {"error": str(exc)}
+    except Violations as exc:
+        code, report = EXIT_INVALID, {"command": args.command, "violations": exc.args[0]}
     except (MalformedFanCone, InvalidCandidate) as exc:
         cone = getattr(exc, "cone", None)
         code, report = EXIT_INVALID, {"error": str(exc), "cone": _cone_dict(cone)}

@@ -216,13 +216,14 @@ def snf(m: Sequence[Sequence[int]]) -> tuple[IntMat, IntMat, IntMat]:
 
 def _bareiss(
     a: list[list[int]], reduce_above: bool = False, limit: int | None = None
-) -> list[int]:
+) -> tuple[list[int], int]:
     """Fraction-free (Bareiss) elimination of an integer matrix in place.
 
-    Returns the pivot columns; the first len(pivots) rows are the pivot
-    rows.  Each step replaces a row by (p * row - f * pivot_row) / prev,
-    with p the new pivot and prev the one before it; the division is
-    exact because every entry stays a minor of the input.  With
+    Returns the pivot columns and the sign of the row permutation made;
+    the first len(pivots) rows are the pivot rows.  Each step replaces a
+    row by (p * row - f * pivot_row) / prev, with p the new pivot and
+    prev the one before it; the division is exact because every entry
+    stays a minor of the input.  With
     ``reduce_above`` rows above the pivot are cleared too (Gauss-Jordan),
     and every pivot ends equal to the last one.  Pivots are sought in
     the first ``limit`` columns only, when given.
@@ -232,6 +233,7 @@ def _bareiss(
     if limit is not None:
         ncols = min(ncols, limit)
     pivots: list[int] = []
+    sign = 1
     prev = 1
     r = 0
     for col in range(ncols):
@@ -240,7 +242,9 @@ def _bareiss(
         piv = next((i for i in range(r, nrows) if a[i][col]), None)
         if piv is None:
             continue
-        a[r], a[piv] = a[piv], a[r]
+        if piv != r:
+            a[r], a[piv] = a[piv], a[r]
+            sign = -sign
         prow = a[r]
         p = prow[col]
         for i in range(0 if reduce_above else r + 1, nrows):
@@ -250,7 +254,7 @@ def _bareiss(
         prev = p
         pivots.append(col)
         r += 1
-    return pivots
+    return pivots, sign
 
 
 def _integer_rows(m: Sequence[Sequence[int | Rat]]) -> list[list[int]]:
@@ -260,7 +264,7 @@ def _integer_rows(m: Sequence[Sequence[int | Rat]]) -> list[list[int]]:
 
 def rank(m: Sequence[Sequence[int | Rat]]) -> int:
     """Rank of a rational matrix, by fraction-free elimination of its rows cleared of denominators."""
-    return len(_bareiss(_integer_rows(m)))
+    return len(_bareiss(_integer_rows(m))[0])
 
 
 def transpose(m: Sequence[Sequence]) -> tuple:
@@ -295,7 +299,7 @@ def solve_rational(m: Sequence[Sequence[int | Rat]], b: Sequence[int | Rat]) -> 
     if len(b) != nrows:
         raise ValueError("right hand side length does not match row count")
     a = _integer_rows([tuple(row) + (bv,) for row, bv in zip(m, b)])
-    pivots = _bareiss(a, reduce_above=True, limit=ncols)
+    pivots, _ = _bareiss(a, reduce_above=True, limit=ncols)
     r = len(pivots)
     if any(a[i][ncols] for i in range(r, nrows)):
         return None
@@ -348,7 +352,7 @@ def det(m: Sequence[Sequence[int | Rat]]) -> Rat:
     Each row is scaled by the least common denominator of its entries,
     and the integer matrix is reduced by fraction-free (Bareiss)
     elimination, whose last pivot is its determinant up to the sign of
-    the row swaps.
+    the row permutation.
     """
     k = len(m)
     if any(len(row) != k for row in m):
@@ -359,20 +363,9 @@ def det(m: Sequence[Sequence[int | Rat]]) -> Rat:
         den = math.lcm(*(Fraction(x).denominator for x in row))
         a.append([int(Fraction(x) * den) for x in row])
         scale *= den
-    sign = 1
-    prev = 1
-    for i in range(k - 1):
-        if a[i][i] == 0:
-            piv = next((j for j in range(i + 1, k) if a[j][i] != 0), None)
-            if piv is None:
-                return Fraction(0)
-            a[i], a[piv] = a[piv], a[i]
-            sign = -sign
-        for j in range(i + 1, k):
-            for col in range(i + 1, k):
-                a[j][col] = (a[j][col] * a[i][i] - a[j][i] * a[i][col]) // prev
-            a[j][i] = 0
-        prev = a[i][i]
+    pivots, sign = _bareiss(a)
+    if len(pivots) < k:
+        return Fraction(0)
     return Fraction(sign * a[k - 1][k - 1] if k else 1, scale)
 
 

@@ -30,11 +30,12 @@ from .exactla import (
 from .polyhedra import (
     Cone,
     Fan,
+    columns_in,
     cone_from_generators,
-    contains_cone,
     intersect,
     is_complete,
     make_fan,
+    maximal_cones,
     zero_cone,
 )
 from . import tropical
@@ -387,31 +388,20 @@ def _sigma_u(data: ArrangementData, u_free: tuple[int, ...]) -> Fan:
         for g in qualifying
         if not any(h != g and set(g) <= set(h) for h in qualifying)
     ]
-    cones: dict[Cone, tuple[int, ...]] = {}
-    for idx_set in subset_maximal:
-        cone = (
-            cone_from_generators([cols[j] for j in idx_set], ambient=data.ambient_dim)
-            if idx_set
-            else zero_cone(data.ambient_dim)
-        )
-        cones.setdefault(cone, idx_set)
-    unique = list(cones)
-    maximal = [
-        c for c in unique if not any(d != c and contains_cone(d, c) for d in unique)
+    cones = [
+        cone_from_generators([cols[j] for j in idx_set], ambient=data.ambient_dim)
+        if idx_set
+        else zero_cone(data.ambient_dim)
+        for idx_set in subset_maximal
     ]
     # face images of a fixed class intersect in common faces; callers
     # still run the completeness check on the result
-    return _with_column_info(make_fan(maximal, validate=False), cols)
-
-
-def _columns_in(cols: IntMat, cone: Cone) -> tuple[int, ...]:
-    return tuple(j for j, col in enumerate(cols) if cone.contains(col))
+    return _with_column_info(make_fan(maximal_cones(cones), validate=False), cols)
 
 
 def _with_column_info(fan: Fan, cols: IntMat) -> Fan:
-    """Attach the generating columns and per-cone membership index sets."""
-    index_sets = tuple(_columns_in(cols, c) for c in fan.maximal)
-    return Fan(fan.ambient, fan.maximal, cols, index_sets)
+    """Attach to each maximal cone the indices of the columns inside it."""
+    return Fan(fan.ambient, fan.maximal, tuple(columns_in(cols, c) for c in fan.maximal))
 
 
 def _ample_fan(data: ArrangementData, u_free: tuple[int, ...]) -> Fan | None:

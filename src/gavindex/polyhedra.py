@@ -301,6 +301,17 @@ def contains_cone(outer: Cone, inner: Cone) -> bool:
     return all(outer.contains(g) for g in inner.generators())
 
 
+def maximal_cones(cones: Iterable[Cone]) -> list[Cone]:
+    """The distinct cones not inside another one, in order of first appearance."""
+    unique = list(dict.fromkeys(cones))
+    return [c for c in unique if not any(d != c and contains_cone(d, c) for d in unique)]
+
+
+def columns_in(cols: Sequence[Sequence[int]], cone: Cone) -> tuple[int, ...]:
+    """Indices of the columns that lie in the cone."""
+    return tuple(j for j, col in enumerate(cols) if cone.contains(col))
+
+
 def face_spanned_by(c: Cone, vanishing: Sequence[Sequence[int]]) -> Cone:
     """The face of c cut out by the given normals of c."""
     return cone_from_inequalities(
@@ -328,25 +339,20 @@ def facets(c: Cone) -> tuple[Cone, ...]:
 class Fan:
     """A fan given by its maximal cones.
 
-    Optionally remembers the generating matrix whose columns produced the
-    cones and the corresponding column index sets, for reporting.
+    A fan built from matrix columns also lists, for each maximal cone in
+    order, the indices of the columns inside it, for reporting.
     """
 
     ambient: int
     maximal: tuple[Cone, ...]
-    ray_columns: IntMat | None = None
     index_sets: tuple[tuple[int, ...], ...] | None = None
 
     def key(self) -> frozenset:
         return frozenset(c.key() for c in self.maximal)
 
 
-def make_fan(
-    cones: Sequence[Cone],
-    validate: bool = True,
-    ray_columns: IntMat | None = None,
-    index_sets: tuple[tuple[int, ...], ...] | None = None,
-) -> Fan:
+def make_fan(cones: Sequence[Cone], validate: bool = True) -> Fan:
+    """Fan of the distinct cones in canonical order; validate checks they meet in faces."""
     if not cones:
         raise ValueError("a fan needs at least one cone")
     ambient = cones[0].ambient
@@ -356,7 +362,7 @@ def make_fan(
             common = intersect(a, b)
             if not (is_face(common, a) and is_face(common, b)):
                 raise ValueError("cones do not intersect in common faces")
-    return Fan(ambient, ordered, ray_columns, index_sets)
+    return Fan(ambient, ordered)
 
 
 def facet_key(c: Cone, nu: Sequence[int]) -> tuple:

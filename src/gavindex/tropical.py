@@ -20,10 +20,10 @@ from .polyhedra import (
     Cone,
     Fan,
     cone_from_generators,
-    contains_cone,
     facets,
     intersect,
     make_fan,
+    maximal_cones,
     relative_interior_point,
 )
 
@@ -176,14 +176,9 @@ def prune_to_minimal(trop: TropStructure, fan: Fan) -> Fan:
         candidates = list(keep)
         for c in dropped:
             candidates.extend(facets(c))
-        unique = list(dict.fromkeys(candidates))
-        work = [
-            c
-            for c in unique
-            if not any(d != c and contains_cone(d, c) for d in unique)
-        ]
+        work = maximal_cones(candidates)
     # faces of a validated fan still meet in faces, so skip revalidation
-    return make_fan(work, validate=False, ray_columns=fan.ray_columns)
+    return make_fan(work, validate=False)
 
 
 @dataclass(frozen=True)

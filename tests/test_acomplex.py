@@ -10,13 +10,13 @@ from fractions import Fraction
 import pytest
 
 from gavindex.acomplex import (
+    _support_for_index,
     build_complex,
     cone_multiplier,
     distance_report,
     gorenstein_index_via_cones,
     gorenstein_index_via_complex,
     lattice_distance,
-    support_function,
 )
 from gavindex.errors import (
     DegenerateCell,
@@ -76,18 +76,14 @@ def test_lattice_distance_rejects_fractional_value_group():
 
 
 def test_support_function_on_worked_pieces(worked):
-    piece = cone_from_generators([V01, (0, 0, 1)])
-    u = support_function(worked, piece, parent=SIGMA1)
+    # each case takes the smallest block index with no column of its
+    # block in the piece: the pieces spanned by V01 and (0, 0, 1) and by
+    # V01 and V02 (SIGMA3) hold a block-0 column, the piece spanned by
+    # V11 and (0, 0, -1) only a block-1 column
+    u = _support_for_index(worked, SIGMA1, 1)
     assert u == (Fraction(3, 4), 0, Fraction(-1, 2))
-    piece = cone_from_generators([V11, (0, 0, -1)])
-    assert support_function(worked, piece, parent=SIGMA2) == (-1, -1, 1)
-    assert support_function(worked, SIGMA3) == (Fraction(1, 3), 0, Fraction(1, 3))
-
-
-def test_support_function_needs_free_block(worked):
-    whole = cone_from_generators([V01, V02, V11, V21])
-    with pytest.raises(ValueError):
-        support_function(worked, whole)
+    assert _support_for_index(worked, SIGMA2, 0) == (-1, -1, 1)
+    assert _support_for_index(worked, SIGMA3, 1) == (Fraction(1, 3), 0, Fraction(1, 3))
 
 
 def test_support_function_detects_inconsistency():
@@ -96,9 +92,8 @@ def test_support_function_detects_inconsistency():
     )
     assert data.columns() == ((-1, -1), (1, 1))
     line = cone_from_generators([(-1, -1), (1, 1)])
-    ray = cone_from_generators([(1, 1)])
     with pytest.raises(NotQGorensteinOnCone) as info:
-        support_function(data, ray, parent=line)
+        _support_for_index(data, line, 0)
     assert info.value.cone == line
 
 

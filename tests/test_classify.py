@@ -42,7 +42,7 @@ from gavindex.classify import (
     verify_data,
 )
 from gavindex.errors import InvalidCandidate
-from gavindex.exactla import min_integral_multiplier
+from gavindex.exactla import mat_mul, min_integral_multiplier
 from gavindex.gav_core import KElement, fan_from_index_sets, make_data
 from gavindex.polyhedra import intersect
 
@@ -380,6 +380,86 @@ def test_fingerprint_invariant_under_grading_automorphisms():
             )
             moved = replace(cand, degrees=replace(dd, degrees=degrees))
             assert fingerprint(moved) == fingerprint(cand), (cand.params, e, u, s)
+
+
+def _random_unimodular(rng: random.Random, s: int) -> list[list[int]]:
+    """Sign flips and row additions applied to the s x s identity."""
+    u = [[int(i == j) for j in range(s)] for i in range(s)]
+    for i in range(s):
+        if rng.random() < 0.5:
+            u[i] = [-x for x in u[i]]
+    for _ in range(2 * s if s > 1 else 0):
+        i, j = rng.sample(range(s), 2)
+        k = rng.choice((-2, -1, 1, 2))
+        u[i] = [a + k * b for a, b in zip(u[i], u[j])]
+    return u
+
+
+def _twin(rng: random.Random, data):
+    """The data with D replaced by U D + B P0, U unimodular and B integral.
+
+    The rows of P change by a unimodular map that fixes the tropical
+    leaves, so the variety and the column index sets of its cones stay.
+    """
+    s, r = len(data.D), data.r
+    u = _random_unimodular(rng, s)
+    b = [[rng.randint(-2, 2) for _ in range(r)] for _ in range(s)]
+    twin_d = [
+        [x + y for x, y in zip(ud, bp)]
+        for ud, bp in zip(mat_mul(u, data.D), mat_mul(b, data.p0))
+    ]
+    return replace(data, D=tuple(tuple(row) for row in twin_d))
+
+
+def _swap_blocks_one_two(data, index_sets):
+    """The data and index sets with blocks 1 and 2 exchanged.
+
+    Columns, the P0 rows of the two blocks and the matching columns of A
+    move together, which swaps e_1 and e_2 of the ambient lattice.
+    """
+    start = [sum(data.n[:i]) for i in range(data.r + 2)]
+    blocks = [list(range(start[i], start[i + 1])) for i in range(data.r + 1)]
+    blocks[1], blocks[2] = blocks[2], blocks[1]
+    order = [j for block in blocks for j in block]
+    order += list(range(data.n_total, data.num_cols))
+    new_of = {old: new for new, old in enumerate(order)}
+
+    def swapped(seq):
+        seq = list(seq)
+        seq[1], seq[2] = seq[2], seq[1]
+        return tuple(seq)
+
+    moved = make_data(
+        r=data.r, c=data.c, n=swapped(data.n), m=data.m, l=swapped(data.l),
+        A=tuple(swapped(row) for row in data.A),
+        D=tuple(tuple(row[j] for j in order) for row in data.D),
+    )
+    return moved, tuple(tuple(sorted(new_of[j] for j in iset)) for iset in index_sets)
+
+
+def test_twins_and_block_swaps_keep_verdict_and_fingerprint():
+    # Lattice automorphisms that fix the tropical structure present the
+    # same variety, so every accepted candidate stays accepted with the
+    # same fingerprint.
+    rng = random.Random(20261021)
+    checked = 0
+    for index in (1, 2):
+        report = classify_index(index)
+        for setting in report.settings:
+            for cand in setting.accepted:
+                expected = fingerprint(cand)
+                cases = [
+                    (twin, cand.fan.index_sets)
+                    for twin in (_twin(rng, cand.data) for _ in range(3))
+                ]
+                cases.append(_swap_blocks_one_two(cand.data, cand.fan.index_sets))
+                for data, index_sets in cases:
+                    fan = fan_from_index_sets(data, index_sets)
+                    ver = verify_data(data, fan, index)
+                    assert ver.accepted, (cand.setting, cand.params, data.D, ver.reason)
+                    assert fingerprint(ver.candidate) == expected, (cand.params, data.D)
+                    checked += 1
+    assert checked == 4 * 25
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from gavindex import cli
+from gavindex import classify, cli
 
 WORKED = {
     "r": 2,
@@ -19,6 +19,9 @@ WORKED = {
     "D": [[-1, -2, 1, 2]],
     "fan": [[0, 2, 3], [1, 2, 3], [0, 1]],
 }
+
+# The README's bare fan document for gorenstein --toric (index 3).
+TORIC = {"rays": [[1, 0], [0, 1], [-1, -3]], "fan": [[0, 1], [1, 2], [0, 2]]}
 
 # Without a listed fan, gorenstein finds this document not Fano (exit 2).
 NOT_FANO = {
@@ -238,6 +241,42 @@ def test_classify_setting_five(capsys):
     assert len(report["groups"]) == 2
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_classify_refuses_jobs_below_one(capsys, jobs):
+    code, report = run(capsys, "classify", "--index", "1", "--jobs", jobs)
+    assert code == 1
+    assert report == {"command": "classify", "error": "jobs must be at least 1"}
+
+
+@pytest.mark.parametrize("cpus, workers", [(4, [3]), (2, [2]), (None, [])])
+def test_classify_pool_is_bounded(capsys, monkeypatch, cpus, workers):
+    # A pool may fork all its workers at its first task, so --jobs must
+    # not reach it unbounded.  The stand-in pool records its size and
+    # maps in this process, so no worker is ever started.
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    argv = ("classify", "--index", "1", "--settings", "5")
+    serial = run(capsys, *argv)
+    monkeypatch.setattr(classify, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(classify.os, "cpu_count", lambda: cpus)
+    # setting 5 has three tuples at index 1
+    assert run(capsys, *argv, "--jobs", "100000") == serial
+    assert sizes == workers
+
+
 def test_classify_jobs_do_not_change_bytes(tmp_path, capsys):
     paths = []
     for jobs in ("1", "2"):
@@ -279,14 +318,14 @@ def test_out_flag_writes_file_and_keeps_stdout_empty(tmp_path, capsys):
     assert json.loads(out.read_text())["gorenstein_index"] == 12
 
 
-def test_input_round_trip():
-    doc = cli.parse_input(json.dumps(WORKED))
-    assert cli.parse_input(cli.print_input(doc)) == doc
-    assert doc.A[0][0] == Fraction(-1)
-    # a document without a fan round-trips to one without a fan
+def test_input_round_trip(worked):
+    data, fan = cli.parse_input(json.dumps(WORKED))
+    assert data == worked
+    assert data.A[0][0] == Fraction(-1)
+    assert fan == ((0, 2, 3), (1, 2, 3), (0, 1))
+    # a document without a fan parses to the same data and no fan
     bare = cli.parse_input(json.dumps({k: v for k, v in WORKED.items() if k != "fan"}))
-    assert bare.fan is None
-    assert cli.parse_input(cli.print_input(bare)) == bare
+    assert bare == (worked, None)
 
 
 def test_bad_flag_exits_one(worked_file):
@@ -325,7 +364,7 @@ def test_one_process_matches_fresh_parsers(capsys, worked_file):
 # ---------------------------------------------------------------------------
 # fuzzed documents
 #
-# Seeded mutations of the README document and the documents above: one
+# Seeded mutations of the README documents and the documents above: one
 # entry replaced by a value of a wrong type or size, a field or entry
 # dropped, a row made ragged, or the JSON text cut short.  Every case
 # must end in exactly one JSON report and a documented exit code.
@@ -335,6 +374,10 @@ FUZZ_BASES = (
     {k: v for k, v in WORKED.items() if k != "fan"},
     dict(WORKED, l=[[2, 2], [2], [3]], D=[[1, 1, 1, 2]], fan=None),
     NOT_FANO,
+)
+FUZZ_COMMANDS = (
+    ("trop",), ("gorenstein", "--method", "complex"),
+    ("gorenstein", "--method", "cones"), ("gorenstein", "--toric"),
 )
 FUZZ_VALUES = (
     1.5, -0.0, True, False, None, "x", "7", "1/0",
@@ -385,15 +428,27 @@ def _mutated(rng: random.Random, doc: dict) -> str:
 def test_fuzzed_documents_end_in_one_report(capsys, tmp_path):
     rng = random.Random(20261020)
     path = tmp_path / "fuzzed.json"
+
+    def report_code(argv, text):
+        path.write_text(text)
+        code = cli.main([argv[0], str(path), *argv[1:]])
+        report = json.loads(capsys.readouterr().out)
+        assert isinstance(report, dict), (argv, text)
+        assert code in (0, 1, 2, 3), (argv, text)
+        return code
+
     codes = set()
-    for case in range(300):
+    for _ in range(300):
         text = _mutated(rng, rng.choice(FUZZ_BASES))
         command = rng.choice(("validate", "info", "fan", "acomplex", "gorenstein"))
-        path.write_text(text)
-        code = cli.main([command, str(path)])
-        report = json.loads(capsys.readouterr().out)
-        assert isinstance(report, dict), (case, command, text)
-        assert code in (0, 1, 2, 3), (case, command, text)
-        codes.add(code)
+        codes.add(report_code((command,), text))
     # the mutations reach past parsing into the computations
     assert {0, 1, 2} <= codes
+    # single index routes, the leaf structure, and the toric oracle on
+    # mutations of the README toric document
+    reached = {command: set() for command in FUZZ_COMMANDS}
+    for _ in range(400):
+        command = rng.choice(FUZZ_COMMANDS)
+        base = TORIC if "--toric" in command else rng.choice(FUZZ_BASES)
+        reached[command].add(report_code(command, _mutated(rng, base)))
+    assert all({0, 1} <= got for got in reached.values()), reached

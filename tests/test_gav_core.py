@@ -236,7 +236,6 @@ EXPECTED_INDEX_SETS = ((0, 1), (0, 2, 3), (1, 2, 3))
 def test_fan_from_ample_matches_expected_cones(worked):
     fan = fan_from_ample(worked, (10,))
     assert len(fan.maximal) == 3
-    assert fan.ray_columns == worked.columns()
     assert tuple(sorted(fan.index_sets)) == EXPECTED_INDEX_SETS
     expected = fan_from_index_sets(worked, EXPECTED_INDEX_SETS)
     assert fan.key() == expected.key()
