@@ -57,6 +57,7 @@ from .gav_core import (
 from .polyhedra import (
     Cone,
     Fan,
+    check_fan,
     cone_from_generators,
     cone_from_inequalities,
     intersect,
@@ -91,6 +92,7 @@ __all__ = [
     "anticanonical_class",
     "brute_force_box",
     "build_complex",
+    "check_fan",
     "classify_cone",
     "classify_index",
     "cone_from_generators",

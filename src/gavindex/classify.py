@@ -209,8 +209,9 @@ def instantiate(setting_id: int, params: Sequence[int]) -> tuple[ArrangementData
 
     Raises InvalidCandidate (and logs the tuple) when the parameters
     violate the setting's inequalities, when the assembled matrix fails
-    validation, or when the listed cones do not form a fan whose cones
-    classify as the setting states.
+    validation, or when the listed cones do not classify as the setting
+    states.  Whether the listed cones form a fan is left to verify_data,
+    which accepts them only as the ample fan of -K.
     """
     spec = _setting(setting_id)
     values = tuple(int(x) for x in params)
@@ -229,10 +230,7 @@ def instantiate(setting_id: int, params: Sequence[int]) -> tuple[ArrangementData
     violations = validate(data)
     if violations:
         raise reject("; ".join(violations))
-    try:
-        fan = fan_from_index_sets(data, spec.index_sets(values))
-    except (ValueError, MalformedFanCone) as exc:
-        raise reject(str(exc)) from exc
+    fan = fan_from_index_sets(data, spec.index_sets(values))
     trop = tropical.trop_structure(data.r, data.c, data.s)
     try:
         kinds = [tropical.classify_cone(trop, cone).kind for cone in fan.maximal]
@@ -282,7 +280,9 @@ def verify_data(
     fan, and both Gorenstein index routes return exactly the requested
     index.  Everything else is a rejection carrying a machine-readable
     reason.  A missing fan defers to the ample-class fan itself, making
-    the agreement clause vacuous.
+    the agreement clause vacuous.  The supplied cones need not have
+    been checked to form a fan: the ample-class fan is one by
+    construction, so cones that are not a fan end in fan_mismatch.
     """
 
     def rejected(reason: str, detail: object = None) -> Verification:

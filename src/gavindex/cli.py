@@ -45,7 +45,14 @@ from .gav_core import (
     moving_cone,
     validate,
 )
-from .polyhedra import Cone, Fan, cone_from_generators, make_fan, toric_gorenstein_index
+from .polyhedra import (
+    Cone,
+    Fan,
+    check_fan,
+    cone_from_generators,
+    make_fan,
+    toric_gorenstein_index,
+)
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -53,6 +60,8 @@ EXIT_NOT_QGORENSTEIN = 2
 EXIT_BREACH = 3
 
 INDEX_CAP = 5
+# a setting-2 box scan grows about as bound^2 and takes minutes at this bound
+BOUND_CAP = 500
 
 
 class DocumentError(GavError):
@@ -187,7 +196,7 @@ def _emit(report: dict, out: str | None) -> None:
 def _resolve_fan(data: ArrangementData, index_sets: IndexSets | None) -> Fan:
     """The listed fan, or the ample fan of -K when the document has none."""
     if index_sets is not None:
-        return fan_from_index_sets(data, index_sets)
+        return check_fan(fan_from_index_sets(data, index_sets))
     return default_fan(data)
 
 
@@ -200,7 +209,7 @@ def cmd_validate(args) -> tuple[int, dict]:
     violations = validate(data)
     if fan is not None and not violations:
         try:
-            fan_from_index_sets(data, fan)
+            check_fan(fan_from_index_sets(data, fan))
         except (ValueError, GavError) as exc:
             violations.append(f"fan: {exc}")
     report = {
@@ -318,7 +327,7 @@ def _toric_fan(raw: dict) -> Fan:
     cones = [
         cone_from_generators(tuple(rays[i] for i in iset)) for iset in isets
     ]
-    return make_fan(cones, validate=True)
+    return check_fan(make_fan(cones))
 
 
 def cmd_gorenstein(args) -> tuple[int, dict]:
@@ -407,6 +416,13 @@ def cmd_classify(args) -> tuple[int, dict]:
 
 
 def cmd_box_search(args) -> tuple[int, dict]:
+    caps = (("index", args.index, INDEX_CAP), ("bound", args.bound, BOUND_CAP))
+    for name, value, cap in caps:
+        if value > cap:
+            return EXIT_INVALID, {
+                "command": "oracle box-search",
+                "error": f"{name} must be at most {cap}",
+            }
     tuples = brute_force_box(args.setting, args.index, args.bound)
     report = {
         "command": "oracle box-search",

@@ -390,13 +390,9 @@ def _sigma_u(data: ArrangementData, u_free: tuple[int, ...]) -> Fan:
     ]
     cones = [
         cone_from_generators([cols[j] for j in idx_set], ambient=data.ambient_dim)
-        if idx_set
-        else zero_cone(data.ambient_dim)
         for idx_set in subset_maximal
     ]
-    # face images of a fixed class intersect in common faces; callers
-    # still run the completeness check on the result
-    return _with_column_info(make_fan(maximal_cones(cones), validate=False), cols)
+    return make_fan(maximal_cones(cones))
 
 
 def _with_column_info(fan: Fan, cols: IntMat) -> Fan:
@@ -447,7 +443,11 @@ def is_fano(data: ArrangementData) -> tuple[bool, Fan | None]:
 def fan_from_index_sets(
     data: ArrangementData, index_sets: Sequence[Sequence[int]]
 ) -> Fan:
-    """Fan whose maximal cones are spanned by the given column subsets."""
+    """Fan whose maximal cones are spanned by the given column subsets.
+
+    Checks that every index names a column, but not that the cones meet
+    in common faces: that is check_fan's job.
+    """
     cols = data.columns()
     cones = []
     for idx_set in index_sets:
@@ -457,4 +457,4 @@ def fan_from_index_sets(
         cones.append(
             cone_from_generators([cols[j] for j in idx_set], ambient=data.ambient_dim)
         )
-    return _with_column_info(make_fan(cones, validate=True), cols)
+    return _with_column_info(make_fan(cones), cols)

@@ -351,18 +351,26 @@ class Fan:
         return frozenset(c.key() for c in self.maximal)
 
 
-def make_fan(cones: Sequence[Cone], validate: bool = True) -> Fan:
-    """Fan of the distinct cones in canonical order; validate checks they meet in faces."""
+def make_fan(cones: Sequence[Cone]) -> Fan:
+    """Fan of the distinct cones in canonical order.
+
+    Whether the cones meet in common faces is not checked here; cones
+    from outside the program go through check_fan.
+    """
     if not cones:
         raise ValueError("a fan needs at least one cone")
     ambient = cones[0].ambient
     ordered = tuple(sorted(dict.fromkeys(cones), key=lambda c: c.key()[1:]))
-    if validate:
-        for a, b in itertools.combinations(ordered, 2):
-            common = intersect(a, b)
-            if not (is_face(common, a) and is_face(common, b)):
-                raise ValueError("cones do not intersect in common faces")
     return Fan(ambient, ordered)
+
+
+def check_fan(fan: Fan) -> Fan:
+    """The fan itself, or ValueError when two of its cones do not meet in a common face."""
+    for a, b in itertools.combinations(fan.maximal, 2):
+        common = intersect(a, b)
+        if not (is_face(common, a) and is_face(common, b)):
+            raise ValueError("cones do not intersect in common faces")
+    return fan
 
 
 def facet_key(c: Cone, nu: Sequence[int]) -> tuple:

@@ -177,8 +177,7 @@ def prune_to_minimal(trop: TropStructure, fan: Fan) -> Fan:
         for c in dropped:
             candidates.extend(facets(c))
         work = maximal_cones(candidates)
-    # faces of a validated fan still meet in faces, so skip revalidation
-    return make_fan(work, validate=False)
+    return make_fan(work)
 
 
 @dataclass(frozen=True)

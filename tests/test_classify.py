@@ -177,6 +177,13 @@ def test_verify_fan_mismatch(worked):
     assert verify_data(worked, partial, 12).reason == "fan_mismatch"
 
 
+def test_verify_data_rejects_unchecked_non_fan(worked):
+    # fan_from_index_sets does not check faces; the whole space and one of
+    # its cones are no fan, and only the ample-fan comparison rejects them
+    overlapping = fan_from_index_sets(worked, [(0, 1, 2, 3), (0, 2, 3)])
+    assert verify_data(worked, overlapping, 12).reason == "fan_mismatch"
+
+
 def test_verify_rank_mismatch():
     # a product of two lines carries a rank-two grading
     prod = make_data(

@@ -300,12 +300,39 @@ def test_box_search(capsys):
     assert report["accepted"] == [[3, -2], [4, -3]]
 
 
-def test_box_search_bad_bound(capsys):
+BOX = "oracle box-search"
+
+
+@pytest.mark.parametrize(
+    "index, bound, expected",
+    [
+        (1, 0, {"error": "bound must be a positive integer"}),
+        (1, cli.BOUND_CAP + 1, {"command": BOX, "error": "bound must be at most 500"}),
+        (cli.INDEX_CAP + 1, 60, {"command": BOX, "error": "index must be at most 5"}),
+    ],
+    ids=["bound-zero", "bound-above-cap", "index-above-cap"],
+)
+def test_box_search_bad_bound(capsys, index, bound, expected):
     code, report = run(
         capsys, "oracle", "box-search",
-        "--setting", "5", "--index", "1", "--bound", "0",
+        "--setting", "2", "--index", str(index), "--bound", str(bound),
     )
+    assert code == 1 and report == expected
+
+
+@pytest.mark.parametrize("command", ["validate", "fan", "gorenstein"])
+def test_listed_fan_must_meet_in_faces(capsys, tmp_path, command):
+    # all four columns span the whole space, which strictly contains the
+    # cone on columns 0, 2, 3 without having it as a face
+    path = tmp_path / "overlap.json"
+    path.write_text(json.dumps(dict(WORKED, fan=[[0, 1, 2, 3], [0, 2, 3]])))
+    code, report = run(capsys, command, str(path))
     assert code == 1
+    message = "cones do not intersect in common faces"
+    if command == "validate":
+        assert report["violations"] == [f"fan: {message}"]
+    else:
+        assert report == {"error": message}
 
 
 def test_out_flag_writes_file_and_keeps_stdout_empty(tmp_path, capsys):

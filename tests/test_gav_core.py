@@ -24,6 +24,7 @@ from gavindex.gav_core import (
     relations,
     validate,
 )
+from gavindex.polyhedra import check_fan
 
 
 def test_assembled_matrix(worked):
@@ -293,8 +294,9 @@ def test_fan_from_index_sets_rejects_bad_index(worked):
         fan_from_index_sets(worked, [(0, 4)])
 
 
-def test_fan_from_index_sets_rejects_overlapping_cones(worked):
+def test_check_fan_rejects_overlapping_column_cones(worked):
     # all four columns span the whole space, which strictly contains the
     # second cone without having it as a face
-    with pytest.raises(ValueError):
-        fan_from_index_sets(worked, [(0, 1, 2, 3), (0, 2, 3)])
+    fan = fan_from_index_sets(worked, [(0, 1, 2, 3), (0, 2, 3)])
+    with pytest.raises(ValueError, match="common faces"):
+        check_fan(fan)

@@ -22,6 +22,7 @@ from gavindex.errors import NotQGorenstein
 from gavindex.gav_core import degree_map, make_data, moving_cone, validate
 from gavindex.polyhedra import (
     Cell,
+    check_fan,
     cone_from_generators,
     cone_from_inequalities,
     contains_cone,
@@ -185,8 +186,10 @@ def test_facets_of_simplicial_cone():
 def test_fan_validation_rejects_overlap():
     a = cone_from_generators([(1, 0), (0, 1)])
     b = cone_from_generators([(1, 1), (-1, 1)])
-    with pytest.raises(ValueError):
-        make_fan([a, b])
+    # make_fan only builds; the face condition is check_fan's
+    fan = make_fan([a, b])
+    with pytest.raises(ValueError, match="common faces"):
+        check_fan(fan)
 
 
 def test_raw_ample_fan_is_complete():

@@ -135,7 +135,7 @@ def test_prune_worked_example(trop):
 
 
 def test_prune_keeps_fan_that_already_fits(trop):
-    fan = make_fan([SIGMA1, SIGMA2, SIGMA3], validate=True)
+    fan = make_fan([SIGMA1, SIGMA2, SIGMA3])
     assert prune_to_minimal(trop, fan).key() == fan.key()
 
 
