@@ -6,6 +6,15 @@ outward faces of the truncations (the roofs) form the boundary. The
 Gorenstein index is the least common multiple of the lattice distances
 from the origin to the boundary cells; a second, independent route
 computes per-cone minimal integral multipliers instead.
+
+Both routes compute on integers.  A support form u is held as (w, q),
+integers with u = w / q and q > 0; one build_complex call solves it
+once per parent cone and block index, cuts each piece once, and reads
+the roof off that cut.  lattice_distance scales its points by one
+common denominator, and the cones route takes one Smith form per cone
+for all block indices.  Fractions appear only at the edges: the
+vertices of cells and PieceInfo.support, which reports print as exact
+fraction strings.
 """
 
 from __future__ import annotations
@@ -24,12 +33,14 @@ from .errors import (
     NotQGorensteinOnCone,
 )
 from .exactla import (
+    IntVec,
     RatVec,
     clear_denominators,
     dot,
     identity,
     integer_kernel,
-    min_integral_multiplier,
+    min_integral_multipliers,
+    primitive,
     solve_rational,
 )
 from .gav_core import ArrangementData
@@ -67,8 +78,8 @@ def _admissible_block_indices(data: ArrangementData, cone: Cone) -> list[int]:
     return [i for i in range(data.r + 1) if i not in blocked]
 
 
-def _support_for_index(data: ArrangementData, parent: Cone, i: int) -> RatVec:
-    """Rational form that is -1 on the truncation level for block index i.
+def _support_for_index(data: ArrangementData, parent: Cone, i: int) -> tuple[IntVec, int]:
+    """Form u = w / q, q > 0, that is -1 on the truncation level for block index i.
 
     The linear system runs over all matrix columns inside the parent.
     """
@@ -86,7 +97,8 @@ def _support_for_index(data: ArrangementData, parent: Cone, i: int) -> RatVec:
         raise NotQGorensteinOnCone(
             "support system on the cone has no rational solution", cone=parent
         )
-    return u
+    q = math.lcm(*(x.denominator for x in u))
+    return tuple(x.numerator * (q // x.denominator) for x in u), q
 
 
 @dataclass(frozen=True)
@@ -180,32 +192,39 @@ def build_complex(data: ArrangementData, fan: Fan | None = None) -> Anticanonica
 
     infos = []
     boundary: dict[tuple, Cell] = {}
+    forms: dict[tuple[Cone, int], tuple[IntVec, int]] = {}
     for piece in maximal:
         kind = tropical.classify_cone(trop, piece)
         if kind.kind != "leaf":
             raise AssertionError("piece of the subdivision is not a leaf cone")
         admissible = _admissible_block_indices(data, piece)
-        first_support: RatVec | None = None
-        first_cell: Cell | None = None
+        # forms with equal values on these generators agree on the piece
+        gens = piece.rays + piece.lineality
+        cell: Cell | None = None
         for parent in parents_of[piece]:
             for i in admissible:
-                u = _support_for_index(data, parent, i)
-                cell = truncate(piece, u)
-                if first_cell is None:
-                    first_support, first_cell = u, cell
-                elif cell.key() != first_cell.key():
-                    raise AssertionError(
-                        "truncated cell depends on the block index or parent"
-                    )
-        assert first_cell is not None and first_support is not None
-        roof = level_cut(piece, first_support)
+                form = forms.get((parent, i))
+                if form is None:
+                    form = forms[parent, i] = _support_for_index(data, parent, i)
+                w, q = form
+                if cell is None:
+                    w0, q0 = w, q
+                    values = [dot(w0, g) for g in gens]
+                    cell = truncate(piece, w0, q0)
+                elif any(dot(w, g) * q0 != v * q for g, v in zip(gens, values)):
+                    if truncate(piece, w, q).key() != cell.key():
+                        raise AssertionError(
+                            "truncated cell depends on the block index or parent"
+                        )
+        assert cell is not None
+        roof = level_cut(cell, w0)
         infos.append(
             PieceInfo(
                 parent=parents_of[piece][0],
                 piece=piece,
                 leaf_indices=kind.leaf_indices,
-                support=first_support,
-                cell=first_cell,
+                support=tuple(Fraction(x, q0) for x in w0),
+                cell=cell,
                 roof=roof,
             )
         )
@@ -229,36 +248,30 @@ def lattice_distance(
     evaluated across the gap; it is the number of parallel integral
     hyperplanes strictly between x and the far side, plus one.
     """
-    pts = [tuple(Fraction(v) for v in p) for p in points]
-    if not pts:
+    if not points:
         raise DegenerateCell("no points given")
-    base = tuple(Fraction(v) for v in x)
-    ambient = len(base)
-    if any(len(p) != ambient for p in pts):
+    ambient = len(x)
+    if any(len(p) != ambient for p in points):
         raise ValueError("point dimensions disagree")
-    rows = []
-    for p in pts[1:]:
-        rows.append(clear_denominators(tuple(a - b for a, b in zip(p, pts[0]))))
-    for w in directions:
-        rows.append(clear_denominators(tuple(Fraction(v) for v in w)))
+    # scale every point by one common denominator to integers
+    den = math.lcm(*(v.denominator for p in (x, *points) for v in p))
+    base, *pts = (tuple(v.numerator * (den // v.denominator) for v in p) for p in (x, *points))
+    rows = [primitive(tuple(a - b for a, b in zip(p, pts[0]))) for p in pts[1:]]
+    rows += [clear_denominators(w) for w in directions]
     rows = [r for r in rows if any(r)]
     forms = integer_kernel(tuple(rows)) if rows else identity(ambient)
     if not forms:
         raise DegenerateCell("affine hull spans the whole space")
     gap = tuple(a - b for a, b in zip(pts[0], base))
-    values = [dot(phi, gap) for phi in forms]
-    nonzero = [abs(v) for v in values if v != 0]
-    if not nonzero:
+    # the values are dot(phi, gap) / den; their group is generated by gcd / den
+    spacing = math.gcd(*(dot(phi, gap) for phi in forms))
+    if spacing == 0:
         raise DegenerateCell("base point lies in the affine hull of the cell")
-    delta = Fraction(
-        math.gcd(*(v.numerator for v in nonzero)),
-        math.lcm(*(v.denominator for v in nonzero)),
-    )
-    if delta.denominator != 1:
+    if spacing % den:
         raise NotLatticeMeasurable(
-            f"value group generator {delta} is not an integer"
+            f"value group generator {Fraction(spacing, den)} is not an integer"
         )
-    return int(delta)
+    return spacing // den
 
 
 @dataclass(frozen=True)
@@ -288,21 +301,20 @@ def cone_multiplier(data: ArrangementData, cone: Cone) -> int:
     """
     cols = data.columns()
     inside = columns_in(cols, cone)
-    rows = tuple(cols[j] for j in inside)
-    found = []
-    for i in range(data.r + 1):
-        rhs = []
-        for j in inside:
-            if data.block_of_column(j) == i:
-                rhs.append((data.r - data.c) * data.l_of_column(j) - 1)
-            else:
-                rhs.append(-1)
-        t = min_integral_multiplier(rows, tuple(rhs))
-        if t is None:
-            raise NotQGorensteinOnCone(
-                "no integral multiple of the support values exists", cone=cone
-            )
-        found.append(t)
+    rhs = [
+        tuple(
+            (data.r - data.c) * data.l_of_column(j) - 1
+            if data.block_of_column(j) == i
+            else -1
+            for j in inside
+        )
+        for i in range(data.r + 1)
+    ]
+    found = min_integral_multipliers(tuple(cols[j] for j in inside), rhs)
+    if None in found:
+        raise NotQGorensteinOnCone(
+            "no integral multiple of the support values exists", cone=cone
+        )
     if any(t != found[0] for t in found):
         raise AssertionError("cone multiplier depends on the block index")
     return found[0]

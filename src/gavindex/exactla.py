@@ -5,9 +5,11 @@ by Euclidean row and column reduction, integer kernels from the Hermite
 form, and ranks, rational solves and determinants by fraction-free
 elimination.  :class:`fractions.Fraction` appears only where a rational
 value enters (rows are first scaled to integers) or leaves (the entries
-of a rational solution, a determinant).  No floating point is used
-anywhere.  Matrices are immutable tuples of row tuples, vectors are
-plain tuples.
+of a rational solution, a determinant); a rational right hand side of
+min_integral_multipliers is written as integers over one common
+denominator, and one Smith form serves all its right hand sides.  No
+floating point is used anywhere.  Matrices are immutable tuples of row
+tuples, vectors are plain tuples.
 """
 
 from __future__ import annotations
@@ -315,35 +317,50 @@ def min_integral_multiplier(m: Sequence[Sequence[int]], b: Sequence[int | Rat]) 
     """Smallest t > 0 such that m @ x = t * b has an integral solution x.
 
     The right hand side may be rational. Returns None when no positive
-    multiple of b lies in the column lattice of m. Solvability for a given
-    t is governed by the Smith form: with S = U m V and c = U b, an
-    integral solution exists iff s_i divides t * c_i on the diagonal part
-    and t * c_i = 0 beyond it.
+    multiple of b lies in the column lattice of m.
+    """
+    return min_integral_multipliers(m, (b,))[0]
+
+
+def min_integral_multipliers(
+    m: Sequence[Sequence[int]], rhs: Sequence[Sequence[int | Rat]]
+) -> list[int | None]:
+    """min_integral_multiplier of m for each right hand side, from one Smith form.
+
+    Solvability for a given t is governed by the Smith form: with
+    S = U m V and c = U b, an integral solution exists iff s_i divides
+    t * c_i on the diagonal part and t * c_i = 0 beyond it.  A rational
+    b is written as B / e with B integral and e > 0, so c = (U B) / e is
+    computed on integers.
     """
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
-    if len(b) != nrows:
+    if any(len(b) != nrows for b in rhs):
         raise ValueError("right hand side length does not match row count")
     if nrows == 0:
-        return 1
+        return [1 for _ in rhs]
     if ncols == 0:
-        return 1 if all(x == 0 for x in b) else None
+        return [1 if all(x == 0 for x in b) else None for b in rhs]
     s, u, _ = snf(m)
-    c = mat_vec(u, tuple(Fraction(x) for x in b))
     rho = sum(1 for i in range(min(nrows, ncols)) if s[i][i] != 0)
-    t = 1
-    for i in range(nrows):
-        ci = Fraction(c[i])
-        if i >= rho or i >= ncols:
-            if ci != 0:
-                return None
-            continue
-        if ci == 0:
-            continue
-        # need s_i | t * (p/q), i.e. t divisible by s_i q / gcd(p, s_i q)
-        den = s[i][i] * ci.denominator
-        t = math.lcm(t, den // math.gcd(abs(ci.numerator), den))
-    return t
+    found: list[int | None] = []
+    for b in rhs:
+        e = math.lcm(*(x.denominator for x in b))
+        c = mat_vec(u, tuple(x.numerator * (e // x.denominator) for x in b))
+        t: int | None = 1
+        for i, ci in enumerate(c):
+            if i >= rho:
+                if ci != 0:
+                    t = None
+                    break
+                continue
+            if ci == 0:
+                continue
+            # need s_i | t * ci / e, i.e. t divisible by s_i e / gcd(ci, s_i e)
+            den = s[i][i] * e
+            t = math.lcm(t, den // math.gcd(ci, den))
+        found.append(t)
+    return found
 
 
 def det(m: Sequence[Sequence[int | Rat]]) -> Rat:

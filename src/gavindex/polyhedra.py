@@ -11,6 +11,10 @@ constraints one at a time to a set of extreme rays and lineality lines.
 A cone given by inequalities runs it once; a cone given by generators
 runs it first on the dual cone, whose extreme rays are the facet
 normals, and then on those normals.
+
+A cell is cut from a cone by a form u = w / q given as integers w and
+q > 0.  The cut computes on integers; Fractions appear only at the
+edge, as the vertices of the resulting Cell.
 """
 
 from __future__ import annotations
@@ -415,91 +419,71 @@ class Cell:
         return (self.ambient, self.vertices, self.rays, self.lineality)
 
 
-def _direct_cut(c: Cone, u: Sequence[Rat | int], equality: bool) -> Cell | None:
+def _direct_cut(c: Cone, w: Sequence[int], q: int) -> Cell | None:
     """Cheap cut path for forms that are nonpositive on the whole cone.
 
-    Returns None when the sign pattern needs the lifted computation.
+    Each ray g with <w,g> < 0 gives the vertex q g / -<w,g>.  Returns
+    None when the sign pattern needs the lifted computation.
     """
-    if any(dot(u, line) != 0 for line in c.lineality):
+    if any(dot(w, line) != 0 for line in c.lineality):
         return None
     vertices: list[RatVec] = []
     rays: list[IntVec] = []
     for g in c.rays:
-        val = dot(u, g)
+        val = dot(w, g)
         if val > 0:
             return None
         if val == 0:
             rays.append(g)
         else:
-            scale = Fraction(-1, 1) / Fraction(val)
-            vertices.append(tuple(scale * x for x in g))
-    if equality:
-        if not vertices:
-            return Cell(c.ambient, (), (), ())
-    elif c.is_pointed:
+            vertices.append(tuple(Fraction(q * x, -val) for x in g))
+    if c.is_pointed:
         vertices.append(tuple(Fraction(0) for _ in range(c.ambient)))
-    return Cell(
-        c.ambient,
-        tuple(sorted(vertices)),
-        tuple(sorted(rays)),
-        c.lineality,
-    )
+    return Cell(c.ambient, tuple(sorted(vertices)), tuple(rays), c.lineality)
 
 
-def _homogeneous_cut(c: Cone, u: Sequence[Rat | int], equality: bool) -> Cell:
-    """Vertex description of {x in c : <u,x> >= -1} (or = -1).
+def _lifted_cut(c: Cone, w: Sequence[int], q: int) -> Cell:
+    """The truncation on one extra slack coordinate t.
 
-    Works on one extra slack coordinate t: rays of the lifted cone with
-    t > 0 rescale to vertices, rays with t = 0 are recession directions.
-    This stays exact for forms that are positive on part of the cone,
-    where the result is an unbounded polyhedron.
+    Rays of the lifted cone {(x, t) : x in c, t >= 0, <w,x> + q t >= 0}
+    with t > 0 rescale to vertices, rays with t = 0 are recession
+    directions.  This stays exact for forms that are positive on part
+    of the cone, where the result is an unbounded polyhedron.
     """
-    direct = _direct_cut(c, u, equality)
-    if direct is not None:
-        return direct
-    den = math.lcm(*(Fraction(x).denominator for x in u)) if u else 1
-    w = tuple(int(Fraction(x) * den) for x in u)
     zero = tuple(0 for _ in range(c.ambient))
     normals = [nu + (0,) for nu in c.normals]
-    normals.append(zero + (1,))
+    normals += [zero + (1,), tuple(w) + (q,)]
     equations = [e + (0,) for e in c.equations]
-    cut = w + (den,)
-    if equality:
-        equations.append(cut)
-    else:
-        normals.append(cut)
     lifted = cone_from_inequalities(normals, equations, ambient=c.ambient + 1)
-    vertices: list[RatVec] = []
-    rays: list[IntVec] = []
-    for g in lifted.rays:
-        if g[-1] > 0:
-            t = Fraction(g[-1])
-            vertices.append(tuple(Fraction(x) / t for x in g[:-1]))
-        else:
-            rays.append(g[:-1])
-    if not vertices:
-        # no point satisfies the constraint at level -1
-        return Cell(c.ambient, (), (), ())
+    vertices = [tuple(Fraction(x, g[-1]) for x in g[:-1]) for g in lifted.rays if g[-1]]
+    rays = [g[:-1] for g in lifted.rays if not g[-1]]
     lineality = lattice_key(tuple(line[:-1] for line in lifted.lineality))
-    return Cell(
-        c.ambient,
-        tuple(sorted(vertices)),
-        tuple(sorted(rays)),
-        lineality,
-    )
+    return Cell(c.ambient, tuple(sorted(vertices)), tuple(rays), lineality)
 
 
-def truncate(c: Cone, u: Sequence[Rat | int]) -> Cell:
-    """The polyhedron {x in c : <u,x> >= -1} in vertex description."""
-    return _homogeneous_cut(c, u, equality=False)
+def truncate(c: Cone, w: Sequence[int], q: int = 1) -> Cell:
+    """The polyhedron {x in c : <u,x> >= -1} in vertex description, u = w / q.
+
+    The form is given by integers w and q > 0.
+    """
+    direct = _direct_cut(c, w, q)
+    return direct if direct is not None else _lifted_cut(c, w, q)
 
 
-def level_cut(c: Cone, u: Sequence[Rat | int]) -> Cell | None:
-    """The polyhedron {x in c : <u,x> = -1}, or None when it is empty."""
-    cell = _homogeneous_cut(c, u, equality=True)
-    if not cell.vertices:
+def level_cut(cell: Cell, w: Sequence[int]) -> Cell | None:
+    """The face {<u,x> = -1} of cell = truncate(c, w, q), or None when it is empty.
+
+    Every vertex of a truncation other than the zero vector lies at
+    level -1: a vertex above it would be a vertex of the cone itself,
+    and the only one is the origin (modulo the lineality space, on
+    which u vanishes).  The face keeps those vertices, the recession
+    directions on which u vanishes and the lineality space.
+    """
+    vertices = tuple(v for v in cell.vertices if any(v))
+    if not vertices:
         return None
-    return cell
+    rays = tuple(g for g in cell.rays if dot(w, g) == 0)
+    return Cell(cell.ambient, vertices, rays, cell.lineality)
 
 
 def toric_gorenstein_index(fan: Fan) -> int:

@@ -178,24 +178,3 @@ def prune_to_minimal(trop: TropStructure, fan: Fan) -> Fan:
             candidates.extend(facets(c))
         work = maximal_cones(candidates)
     return make_fan(work)
-
-
-@dataclass(frozen=True)
-class LinealityReport:
-    meets_relint: bool
-    slice_dim: int
-    expected_dim: int
-
-    @property
-    def full(self) -> bool:
-        return self.slice_dim == self.expected_dim
-
-
-def check_big_cone_lineality(trop: TropStructure, cone: Cone) -> LinealityReport:
-    """How a big cone intersects the common lineality space of the leaves."""
-    common = intersect(cone, trop.lineality_cone)
-    return LinealityReport(
-        meets_relint=cone.relint_contains(relative_interior_point(common)),
-        slice_dim=common.dim,
-        expected_dim=trop.s,
-    )

@@ -40,7 +40,7 @@ from gavindex.gav_core import (
     validate,
 )
 from gavindex.polyhedra import cone_from_generators, make_fan, toric_gorenstein_index
-from gavindex.tropical import check_big_cone_lineality, classify_cone, trop_structure
+from gavindex.tropical import classify_cone, trop_structure
 
 WORKED_FAN = ((0, 2, 3), (1, 2, 3), (0, 1))
 
@@ -349,7 +349,7 @@ def test_acceptance_5_nested_subspace_divisibility():
     )
 
 
-def _lineality_violations(data, fan):
+def _lineality_violations(check_big_cone_lineality, data, fan):
     trop = trop_structure(data.r, data.c, data.s)
     bad = []
     seen = 0
@@ -366,19 +366,21 @@ def _lineality_violations(data, fan):
     return seen, bad
 
 
-def test_acceptance_6_big_cones_meet_lineality(oracle_instances, classification):
+def test_acceptance_6_big_cones_meet_lineality(
+    oracle_instances, classification, check_big_cone_lineality
+):
     rows, _ = oracle_instances
     reports, _ = classification
     seen = 0
     violations = []
     for data, fan, *_ in rows:
-        n, bad = _lineality_violations(data, fan)
+        n, bad = _lineality_violations(check_big_cone_lineality, data, fan)
         seen += n
         violations.extend(bad)
     for report in reports.values():
         for setting_report in report.settings:
             for cand in setting_report.accepted:
-                n, bad = _lineality_violations(cand.data, cand.fan)
+                n, bad = _lineality_violations(check_big_cone_lineality, cand.data, cand.fan)
                 seen += n
                 violations.extend(bad)
     _verdict(

@@ -5,10 +5,13 @@ cells with lattice distances {1, 1, 1, 2, 3, 4, 4} and index 12, equal
 to the least common multiple of the per-cone multipliers 4, 1, 3.
 """
 
+import random
+import sys
 from fractions import Fraction
 
 import pytest
 
+from gavindex import classify
 from gavindex.acomplex import (
     _support_for_index,
     build_complex,
@@ -20,6 +23,7 @@ from gavindex.acomplex import (
 )
 from gavindex.errors import (
     DegenerateCell,
+    InvalidCandidate,
     MalformedFanCone,
     NotLatticeMeasurable,
     NotQGorensteinOnCone,
@@ -80,10 +84,10 @@ def test_support_function_on_worked_pieces(worked):
     # block in the piece: the pieces spanned by V01 and (0, 0, 1) and by
     # V01 and V02 (SIGMA3) hold a block-0 column, the piece spanned by
     # V11 and (0, 0, -1) only a block-1 column
-    u = _support_for_index(worked, SIGMA1, 1)
-    assert u == (Fraction(3, 4), 0, Fraction(-1, 2))
-    assert _support_for_index(worked, SIGMA2, 0) == (-1, -1, 1)
-    assert _support_for_index(worked, SIGMA3, 1) == (Fraction(1, 3), 0, Fraction(1, 3))
+    # a form u = w / q is held as the integers (w, q)
+    assert _support_for_index(worked, SIGMA1, 1) == ((3, 0, -2), 4)
+    assert _support_for_index(worked, SIGMA2, 0) == ((-1, -1, 1), 1)
+    assert _support_for_index(worked, SIGMA3, 1) == ((1, 0, 1), 3)
 
 
 def test_support_function_detects_inconsistency():
@@ -173,3 +177,55 @@ def test_fan_cone_must_be_column_generated(worked):
     fan = make_fan([cone_from_generators([(1, 0, 0), (0, 1, 0), (0, 0, 1)])])
     with pytest.raises(ValueError, match="columns"):
         build_complex(worked, fan)
+
+
+def _seeded_listed_documents(seed, count):
+    """Seeded setting tuples at index 1 and 2 that instantiate, with their listed fans."""
+    rng = random.Random(seed)
+    pool = [
+        (sid, params)
+        for index in (1, 2)
+        for sid in (1, 2, 3, 4, 5)
+        for params in classify.enumerate_setting(sid, index)
+    ]
+    rng.shuffle(pool)
+    out = []
+    for sid, params in pool:
+        try:
+            out.append(classify.instantiate(sid, params))
+        except InvalidCandidate:
+            continue
+        if len(out) == count:
+            break
+    return out
+
+
+def _raiser(name):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"the complex route called {name}")
+
+    return refuse
+
+
+def test_complex_route_uses_no_smith_form(monkeypatch):
+    docs = []
+    for data, fan in _seeded_listed_documents(63, 30):
+        try:
+            docs.append((data, fan, gorenstein_index_via_complex(data, fan)))
+        except (NotQGorensteinOnCone, ValueError):
+            continue
+    assert len(docs) >= 15
+    # cold caches: nothing the complex route needs was computed with a Smith form
+    for name, mod in list(sys.modules.items()):
+        if not name.startswith("gavindex"):
+            continue
+        for value in vars(mod).values():
+            if hasattr(value, "cache_clear") and hasattr(value, "cache_info"):
+                value.cache_clear()
+        for fn in ("snf", "min_integral_multiplier", "min_integral_multipliers"):
+            if hasattr(mod, fn):
+                monkeypatch.setattr(mod, fn, _raiser(fn))
+    for data, fan, index in docs:
+        assert gorenstein_index_via_complex(data, fan) == index
+    with pytest.raises(AssertionError, match="called"):
+        gorenstein_index_via_cones(*docs[0][:2])

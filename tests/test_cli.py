@@ -7,7 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from gavindex import classify, cli
+from gavindex import acomplex, classify, cli
+from gavindex.gav_core import fan_from_index_sets
 
 WORKED = {
     "r": 2,
@@ -165,6 +166,42 @@ def test_acomplex_distances_and_multipliers(capsys, worked_file):
     assert (0, 0, 2) in vertices and (0, 0, -1) in vertices
     mults = {tuple(m["columns"]): m["multiplier"] for m in report["cone_multipliers"]}
     assert mults == {(0, 2, 3): 4, (1, 2, 3): 1, (0, 1): 3}
+
+
+def test_cell_independence_check_stays_live(capsys, monkeypatch, worked_file, worked):
+    # halving the form of the last block index moves every cell it cuts
+    real = acomplex._support_for_index
+
+    def perturbed(data, parent, i):
+        w, q = real(data, parent, i)
+        return (w, 2 * q) if i == data.r else (w, q)
+
+    monkeypatch.setattr(acomplex, "_support_for_index", perturbed)
+    fan = fan_from_index_sets(worked, WORKED["fan"])
+    message = "truncated cell depends on the block index or parent"
+    with pytest.raises(AssertionError, match=message):
+        acomplex.build_complex(worked, fan)
+    code, report = run(capsys, "acomplex", worked_file)
+    assert code == 3
+    assert message in report["error"]
+
+
+def test_multiplier_independence_check_stays_live(capsys, monkeypatch, worked_file, worked):
+    # the last block index's multiplier is scaled by 7
+    real = acomplex.min_integral_multipliers
+
+    def perturbed(m, rhs):
+        found = real(m, rhs)
+        return found[:-1] + [7 * found[-1]]
+
+    monkeypatch.setattr(acomplex, "min_integral_multipliers", perturbed)
+    fan = fan_from_index_sets(worked, WORKED["fan"])
+    message = "cone multiplier depends on the block index"
+    with pytest.raises(AssertionError, match=message):
+        acomplex.cone_multiplier(worked, fan.maximal[0])
+    code, report = run(capsys, "acomplex", worked_file)
+    assert code == 3
+    assert message in report["error"]
 
 
 def test_gorenstein_both(capsys, worked_file):

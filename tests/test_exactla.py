@@ -26,6 +26,7 @@ from gavindex.exactla import (
     mat_mul,
     mat_vec,
     min_integral_multiplier,
+    min_integral_multipliers,
     primitive,
     rank,
     snf,
@@ -231,6 +232,33 @@ def test_min_integral_multiplier_against_brute_force():
         else:
             assert got is None or got > 50
     assert checked_positive > 30
+
+
+def test_min_integral_multipliers_per_right_hand_side_against_brute_force():
+    # one Smith form serves every right hand side; each answer is checked alone
+    rng = random.Random(45)
+    seen = {"positive": 0, "none": 0, "rational": 0}
+    for _ in range(60):
+        nrows = rng.randint(1, 3)
+        ncols = rng.randint(1, 3)
+        m = random_matrix(rng, nrows, ncols, bound=4)
+        rhs = [
+            tuple(Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2, 3))) for _ in range(nrows))
+            for _ in range(rng.randint(1, 4))
+        ]
+        got = min_integral_multipliers(m, rhs)
+        assert len(got) == len(rhs)
+        for b, t in zip(rhs, got):
+            first = next((k for k in range(1, 51) if _feasible(m, b, k)), None)
+            if first is not None:
+                assert t == first
+                seen["positive"] += 1
+                seen["rational"] += any(x.denominator != 1 for x in b)
+            else:
+                # no positive multiple lies in the column lattice
+                assert t is None or t > 50
+                seen["none"] += t is None
+    assert min(seen.values()) >= 20, seen
 
 
 def test_det_int_values():

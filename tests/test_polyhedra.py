@@ -18,7 +18,9 @@ from fractions import Fraction
 
 import pytest
 
-from gavindex.errors import NotQGorenstein
+from gavindex.acomplex import lattice_distance
+from gavindex.errors import DegenerateCell, NotLatticeMeasurable, NotQGorenstein
+from gavindex.exactla import clear_denominators, dot, identity, integer_kernel, lattice_key
 from gavindex.gav_core import degree_map, make_data, moving_cone, validate
 from gavindex.polyhedra import (
     Cell,
@@ -216,8 +218,7 @@ def test_halfspace_is_not_complete():
 
 def test_truncate_single_ray():
     c = cone_from_generators([V21])
-    u = (Fraction(0), Fraction(0), Fraction(-1, 2))
-    cell = truncate(c, u)
+    cell = truncate(c, (0, 0, -1), 2)
     zero = (Fraction(0), Fraction(0), Fraction(0))
     assert set(cell.vertices) == {zero, (Fraction(0), Fraction(3), Fraction(2))}
     assert cell.rays == ()
@@ -256,8 +257,7 @@ def test_truncate_cuts_across_lineality():
 
 def test_level_cut_matches_truncate_roof():
     c = cone_from_generators([V21])
-    u = (Fraction(0), Fraction(0), Fraction(-1, 2))
-    roof = level_cut(c, u)
+    roof = level_cut(truncate(c, (0, 0, -1), 2), (0, 0, -1))
     assert roof is not None
     assert roof.vertices == ((Fraction(0), Fraction(3), Fraction(2)),)
     assert roof.rays == () and roof.lineality == ()
@@ -265,7 +265,7 @@ def test_level_cut_matches_truncate_roof():
 
 def test_level_cut_empty_when_form_nonnegative():
     c = cone_from_generators([(1, 0), (0, 1)])
-    assert level_cut(c, (1, 0)) is None
+    assert level_cut(truncate(c, (1, 0)), (1, 0)) is None
 
 
 def _projective_plane_fan():
@@ -578,3 +578,168 @@ def test_moving_cone_of_nine_columns_against_reference():
         tight = [ray for ray in mov.rays if _pairing(nu, ray) == 0]
         assert _ref_rank(tight, d) == d - 1
         assert any(all(_pairing(u, ray) == 0 for ray in tight) for u in forms)
+
+
+# Rational reference for the integer cut and distance paths: the
+# Fraction versions of truncate, the level cut and lattice_distance that
+# the integer ones replaced, kept here as the oracle.
+
+
+def _ref_direct_cut(c, u, equality):
+    if any(dot(u, line) != 0 for line in c.lineality):
+        return None
+    vertices, rays = [], []
+    for g in c.rays:
+        val = dot(u, g)
+        if val > 0:
+            return None
+        if val == 0:
+            rays.append(g)
+        else:
+            scale = Fraction(-1, 1) / Fraction(val)
+            vertices.append(tuple(scale * x for x in g))
+    if equality:
+        if not vertices:
+            return Cell(c.ambient, (), (), ())
+    elif c.is_pointed:
+        vertices.append(tuple(Fraction(0) for _ in range(c.ambient)))
+    return Cell(c.ambient, tuple(sorted(vertices)), tuple(sorted(rays)), c.lineality)
+
+
+def _ref_homogeneous_cut(c, u, equality):
+    direct = _ref_direct_cut(c, u, equality)
+    if direct is not None:
+        return direct
+    den = math.lcm(*(Fraction(x).denominator for x in u)) if u else 1
+    w = tuple(int(Fraction(x) * den) for x in u)
+    zero = tuple(0 for _ in range(c.ambient))
+    normals = [nu + (0,) for nu in c.normals]
+    normals.append(zero + (1,))
+    equations = [e + (0,) for e in c.equations]
+    if equality:
+        equations.append(w + (den,))
+    else:
+        normals.append(w + (den,))
+    lifted = cone_from_inequalities(normals, equations, ambient=c.ambient + 1)
+    vertices, rays = [], []
+    for g in lifted.rays:
+        if g[-1] > 0:
+            vertices.append(tuple(Fraction(x) / Fraction(g[-1]) for x in g[:-1]))
+        else:
+            rays.append(g[:-1])
+    if not vertices:
+        return Cell(c.ambient, (), (), ())
+    lineality = lattice_key(tuple(line[:-1] for line in lifted.lineality))
+    return Cell(c.ambient, tuple(sorted(vertices)), tuple(sorted(rays)), lineality)
+
+
+def _ref_lattice_distance(x, points, directions=()):
+    pts = [tuple(Fraction(v) for v in p) for p in points]
+    if not pts:
+        raise DegenerateCell("no points given")
+    base = tuple(Fraction(v) for v in x)
+    ambient = len(base)
+    if any(len(p) != ambient for p in pts):
+        raise ValueError("point dimensions disagree")
+    rows = [clear_denominators(tuple(a - b for a, b in zip(p, pts[0]))) for p in pts[1:]]
+    rows += [clear_denominators(tuple(Fraction(v) for v in w)) for w in directions]
+    rows = [r for r in rows if any(r)]
+    forms = integer_kernel(tuple(rows)) if rows else identity(ambient)
+    if not forms:
+        raise DegenerateCell("affine hull spans the whole space")
+    gap = tuple(a - b for a, b in zip(pts[0], base))
+    nonzero = [abs(v) for v in (dot(phi, gap) for phi in forms) if v != 0]
+    if not nonzero:
+        raise DegenerateCell("base point lies in the affine hull of the cell")
+    delta = Fraction(
+        math.gcd(*(v.numerator for v in nonzero)),
+        math.lcm(*(v.denominator for v in nonzero)),
+    )
+    if delta.denominator != 1:
+        raise NotLatticeMeasurable(f"value group generator {delta} is not an integer")
+    return int(delta)
+
+
+def _outcome(fn, *args):
+    """A function's value, or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except (DegenerateCell, NotLatticeMeasurable, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _seeded_cuts(seed, count):
+    """Seeded cones of dimension 1-5, with and without lineality, and forms w / q on them.
+
+    The forms mix negative combinations of the facet normals (nonpositive
+    on the cone: the direct path), their negatives (nonnegative: an
+    empty level cut), zero, and random forms positive on some rays (the
+    lifted path).
+    """
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        d = rng.randint(1, 5)
+        gens, lines = _random_pool(rng, d)
+        if rng.random() < 0.3:
+            lines.append(tuple(rng.randint(-1, 1) for _ in range(d)))
+        lines = [v for v in lines if any(v)]
+        if not gens and not lines:
+            continue
+        c = cone_from_generators(gens, lineality=lines, ambient=d)
+        kind = rng.choice(("inside", "inside", "outside", "zero", "random", "random"))
+        if kind == "random":
+            w = tuple(rng.randint(-3, 3) for _ in range(d))
+        else:
+            sign = -1 if kind == "inside" else 1 if kind == "outside" else 0
+            w = tuple(0 for _ in range(d))
+            for nu in c.normals + c.equations + tuple(tuple(-x for x in e) for e in c.equations):
+                k = sign * rng.randint(0, 2)
+                w = tuple(a + k * b for a, b in zip(w, nu))
+        out.append((c, w, rng.randint(1, 4)))
+    return out
+
+
+def test_integer_cuts_match_the_rational_reference():
+    seen = {}
+    for c, w, q in _seeded_cuts(61, 500):
+        u = tuple(Fraction(x, q) for x in w)
+        cell = truncate(c, w, q)
+        assert cell.key() == _ref_homogeneous_cut(c, u, False).key()
+        ref_roof = _ref_homogeneous_cut(c, u, True)
+        roof = level_cut(cell, w)
+        if not ref_roof.vertices:
+            assert roof is None
+        else:
+            assert roof is not None and roof.key() == ref_roof.key()
+            # the roofs' distances agree as well
+            origin = tuple(0 for _ in range(c.ambient))
+            dirs = roof.rays + roof.lineality
+            assert _outcome(lattice_distance, origin, roof.vertices, dirs) == _outcome(
+                _ref_lattice_distance, origin, ref_roof.vertices, dirs
+            )
+        path = "direct" if _ref_direct_cut(c, u, False) else "lifted"
+        case = (path, roof is not None, bool(c.lineality))
+        seen[case] = seen.get(case, 0) + 1
+    # every path, with and without a roof, on cones with and without lineality
+    assert len(seen) == 8 and min(seen.values()) >= 8, seen
+
+
+def test_integer_lattice_distance_matches_the_rational_reference():
+    rng = random.Random(62)
+    seen = {int: 0, DegenerateCell: 0, NotLatticeMeasurable: 0, ValueError: 0}
+
+    def coordinate():
+        return Fraction(rng.randint(-6, 6), rng.choice((1, 1, 1, 2, 3, 4)))
+
+    for _ in range(600):
+        d = rng.randint(1, 5)
+        x = tuple(coordinate() if rng.random() < 0.3 else rng.randint(-2, 2) for _ in range(d))
+        points = [tuple(coordinate() for _ in range(d)) for _ in range(rng.randint(0, d))]
+        if points and rng.random() < 0.05:
+            points.append(tuple(coordinate() for _ in range(d + 1)))
+        directions = [tuple(rng.randint(-2, 2) for _ in range(d)) for _ in range(rng.randint(0, 2))]
+        got = _outcome(lattice_distance, x, points, directions)
+        assert got == _outcome(_ref_lattice_distance, x, points, directions)
+        seen[got[0] if isinstance(got, tuple) else int] += 1
+    assert min(seen.values()) >= 10, seen

@@ -13,7 +13,6 @@ import pytest
 from gavindex.errors import MalformedFanCone
 from gavindex.polyhedra import cone_from_generators, make_fan, zero_cone
 from gavindex.tropical import (
-    check_big_cone_lineality,
     classify_cone,
     indices_of_cone,
     minimal_indices,
@@ -139,7 +138,7 @@ def test_prune_keeps_fan_that_already_fits(trop):
     assert prune_to_minimal(trop, fan).key() == fan.key()
 
 
-def test_lineality_reports(trop):
+def test_lineality_reports(trop, check_big_cone_lineality):
     for sigma in (SIGMA1, SIGMA2):
         report = check_big_cone_lineality(trop, sigma)
         assert report.meets_relint
