@@ -2,14 +2,14 @@
 
 The routines compute on plain Python integers: Hermite and Smith forms
 by Euclidean row and column reduction, integer kernels from the Hermite
-form, and ranks, rational solves and determinants by fraction-free
-elimination.  :class:`fractions.Fraction` appears only where a rational
-value enters (rows are first scaled to integers) or leaves (the entries
-of a rational solution, a determinant); a rational right hand side of
-min_integral_multipliers is written as integers over one common
-denominator, and one Smith form serves all its right hand sides.  No
-floating point is used anywhere.  Matrices are immutable tuples of row
-tuples, vectors are plain tuples.
+form, and ranks, rational solves, determinants and orthogonal
+projectors by fraction-free elimination.  :class:`fractions.Fraction`
+appears only where a rational value enters (rows are first scaled to
+integers) or leaves (the entries of a rational solution, a
+determinant); a rational right hand side of min_integral_multipliers is
+written as integers over one common denominator, and one Smith form
+serves all its right hand sides.  No floating point is used anywhere.
+Matrices are immutable tuples of row tuples, vectors are plain tuples.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 Rat = Fraction
@@ -64,6 +65,7 @@ def clear_denominators(v: Sequence[Rat | int]) -> IntVec:
     return primitive(tuple(int(Fraction(x) * den) for x in v))
 
 
+@lru_cache(maxsize=64)
 def identity(k: int) -> IntMat:
     return tuple(tuple(1 if i == j else 0 for j in range(k)) for i in range(k))
 
@@ -311,6 +313,29 @@ def solve_rational(m: Sequence[Sequence[int | Rat]], b: Sequence[int | Rat]) -> 
         for i, col in enumerate(pivots):
             x[col] = Fraction(a[i][ncols], d)
     return tuple(x)
+
+
+@lru_cache(maxsize=1 << 12)
+def complement_projector(basis: IntMat) -> IntMat:
+    """Integer matrix M = den (I - B^T (B B^T)^-1 B), den > 0, for independent rows B.
+
+    M x is a positive multiple of the orthogonal projection of x onto
+    the complement of the row space of B.  Fraction-free Gauss-Jordan
+    elimination of [B B^T | B] leaves den (B B^T)^-1 B beside the
+    pivots, den the common pivot; a Gram matrix is positive definite,
+    so no row is swapped and den = det(B B^T) > 0.
+    """
+    k, n = len(basis), len(basis[0])
+    a = [[dot(u, v) for v in basis] + list(u) for u in basis]
+    if len(_bareiss(a, reduce_above=True, limit=k)[0]) < k:
+        raise ValueError("basis rows are linearly dependent")
+    den = a[k - 1][k - 1]
+    m = [
+        [den * (i == j) - sum(b[i] * row[k + j] for b, row in zip(basis, a)) for j in range(n)]
+        for i in range(n)
+    ]
+    g = math.gcd(*(x for row in m for x in row)) or 1
+    return tuple(tuple(x // g for x in row) for row in m)
 
 
 def min_integral_multiplier(m: Sequence[Sequence[int]], b: Sequence[int | Rat]) -> int | None:

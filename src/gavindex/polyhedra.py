@@ -10,7 +10,10 @@ One engine computes every cone: integer double description, which adds
 constraints one at a time to a set of extreme rays and lineality lines.
 A cone given by inequalities runs it once; a cone given by generators
 runs it first on the dual cone, whose extreme rays are the facet
-normals, and then on those normals.
+normals, and then on those normals.  Rays are reduced modulo the
+lineality space and normals modulo the span of the equations, each by
+one integer projector per subspace, built once and reused for every
+vector.
 
 A cell is cut from a cone by a form u = w / q given as integers w and
 q > 0.  The cut computes on integers; Fractions appear only at the
@@ -33,13 +36,14 @@ from .exactla import (
     Rat,
     RatVec,
     clear_denominators,
+    complement_projector,
     dot,
     identity,
     integer_kernel,
     lattice_key,
+    mat_vec,
     min_integral_multiplier,
     primitive,
-    solve_rational,
 )
 
 
@@ -82,33 +86,20 @@ class Cone:
         return (self.ambient, self.equations, self.normals)
 
 
-def _gram_solution(basis: IntMat, rhs: Sequence[int]) -> tuple[int, IntVec]:
-    """(den, Y) with Y / den the solution y of (basis @ basis^T) y = rhs, den > 0."""
-    gram = tuple(tuple(dot(a, b) for b in basis) for a in basis)
-    y = solve_rational(gram, rhs)
-    if y is None:
-        raise AssertionError("gram system must be solvable")
-    den = math.lcm(*(yi.denominator for yi in y))
-    return den, tuple(int(yi * den) for yi in y)
-
-
-def _combine(coeffs: Sequence[int], basis: IntMat) -> IntVec:
-    return tuple(sum(c * b[j] for c, b in zip(coeffs, basis)) for j in range(len(basis[0])))
-
-
 def _canonical_ray(g: Sequence[int], lineality: IntMat) -> IntVec:
     """Primitive representative of the ray of g modulo the lineality space.
 
-    Subtracts the orthogonal projection of g onto the lineality space,
-    scaled by the positive common denominator of its coefficients.
+    Rays are reduced modulo the lineality space and normals modulo the
+    span of the equations by one integer projector per subspace: built
+    once per basis and memoised, it maps g to a positive multiple of its
+    orthogonal projection onto the complement of the subspace.
     """
     if not lineality:
         return primitive(g)
-    den, coeffs = _gram_solution(lineality, tuple(dot(a, g) for a in lineality))
-    proj = _combine(coeffs, lineality)
-    return primitive(tuple(den * a - b for a, b in zip(g, proj)))
+    return primitive(mat_vec(complement_projector(lineality), g))
 
 
+@lru_cache(maxsize=1 << 12)
 def _orthogonal_key(rows: IntMat, ambient: int) -> IntMat:
     """Hermite basis of the integer vectors orthogonal to every row."""
     return lattice_key(integer_kernel(rows)) if rows else identity(ambient)
@@ -308,7 +299,11 @@ def contains_cone(outer: Cone, inner: Cone) -> bool:
 def maximal_cones(cones: Iterable[Cone]) -> list[Cone]:
     """The distinct cones not inside another one, in order of first appearance."""
     unique = list(dict.fromkeys(cones))
-    return [c for c in unique if not any(d != c and contains_cone(d, c) for d in unique)]
+    return [
+        c
+        for c in unique
+        if not any(d.dim >= c.dim and d != c and contains_cone(d, c) for d in unique)
+    ]
 
 
 def columns_in(cols: Sequence[Sequence[int]], cone: Cone) -> tuple[int, ...]:
@@ -437,8 +432,7 @@ def _direct_cut(c: Cone, w: Sequence[int], q: int) -> Cell | None:
             rays.append(g)
         else:
             vertices.append(tuple(Fraction(q * x, -val) for x in g))
-    if c.is_pointed:
-        vertices.append(tuple(Fraction(0) for _ in range(c.ambient)))
+    vertices.append(tuple(Fraction(0) for _ in range(c.ambient)))
     return Cell(c.ambient, tuple(sorted(vertices)), tuple(rays), c.lineality)
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
@@ -78,16 +77,17 @@ def trop_structure(r: int, c: int, s: int) -> TropStructure:
     return TropStructure(r=r, c=c, s=s, leaves=tuple(leaves), lineality_cone=lineality_cone)
 
 
-def minimal_indices(trop: TropStructure, x: Sequence[int | Fraction]) -> frozenset:
+def minimal_indices(trop: TropStructure, x: Sequence) -> frozenset:
     """Smallest index set I with x inside the leaf of I.
 
     Writing x (ignoring the lineality coordinates) as a non-negative
     combination of e_0, .., e_r with minimal e_0 coefficient, the set
     collects the indices with positive coefficient. Membership in the
-    leaf of I is equivalent to this set being contained in I.
+    leaf of I is equivalent to this set being contained in I.  The
+    entries of x may be integers or Fractions.
     """
-    head = [Fraction(v) for v in x[: trop.r]]
-    t_star = max(Fraction(0), -min(head)) if head else Fraction(0)
+    head = x[: trop.r]
+    t_star = max(0, -min(head)) if head else 0
     out = {i + 1 for i, v in enumerate(head) if v + t_star > 0}
     if t_star > 0:
         out.add(0)

@@ -20,10 +20,23 @@ import pytest
 
 from gavindex.acomplex import lattice_distance
 from gavindex.errors import DegenerateCell, NotLatticeMeasurable, NotQGorenstein
-from gavindex.exactla import clear_denominators, dot, identity, integer_kernel, lattice_key
+from gavindex.exactla import (
+    clear_denominators,
+    complement_projector,
+    dot,
+    identity,
+    integer_kernel,
+    lattice_key,
+    primitive,
+    rank,
+    solve_rational,
+)
 from gavindex.gav_core import degree_map, make_data, moving_cone, validate
 from gavindex.polyhedra import (
     Cell,
+    _canonical_ray,
+    _direct_cut,
+    _lifted_cut,
     check_fan,
     cone_from_generators,
     cone_from_inequalities,
@@ -34,6 +47,7 @@ from gavindex.polyhedra import (
     is_face,
     level_cut,
     make_fan,
+    maximal_cones,
     relative_interior_point,
     toric_gorenstein_index,
     truncate,
@@ -582,7 +596,9 @@ def test_moving_cone_of_nine_columns_against_reference():
 
 # Rational reference for the integer cut and distance paths: the
 # Fraction versions of truncate, the level cut and lattice_distance that
-# the integer ones replaced, kept here as the oracle.
+# the integer ones replaced, kept here as the oracle.  The direct cut
+# keeps the zero vertex on cones with lineality too, as the lifted cut
+# does: the origin is a point of every truncation.
 
 
 def _ref_direct_cut(c, u, equality):
@@ -601,7 +617,7 @@ def _ref_direct_cut(c, u, equality):
     if equality:
         if not vertices:
             return Cell(c.ambient, (), (), ())
-    elif c.is_pointed:
+    else:
         vertices.append(tuple(Fraction(0) for _ in range(c.ambient)))
     return Cell(c.ambient, tuple(sorted(vertices)), tuple(sorted(rays)), c.lineality)
 
@@ -743,3 +759,65 @@ def test_integer_lattice_distance_matches_the_rational_reference():
         assert got == _outcome(_ref_lattice_distance, x, points, directions)
         seen[got[0] if isinstance(got, tuple) else int] += 1
     assert min(seen.values()) >= 10, seen
+
+
+def test_direct_and_lifted_cuts_agree_on_cones_with_lineality():
+    # cone((1, 0)) + lin((0, 1)) cut by w = (-1, 0) is the strip 0 <= x1 <= 1
+    strip = cone_from_generators([(1, 0)], lineality=[(0, 1)])
+    assert _direct_cut(strip, (-1, 0), 1).vertices == ((0, 0), (1, 0))
+    compared = 0
+    for c, w, q in _seeded_cuts(63, 600):
+        direct = _direct_cut(c, w, q)
+        if c.lineality and direct is not None:
+            assert direct.key() == _lifted_cut(c, w, q).key()
+            compared += 1
+    assert compared >= 40, compared
+
+
+def _ref_canonical_ray(g, lineality):
+    """The Gram-solve reduction modulo the lineality space, one solve per vector."""
+    if not lineality:
+        return primitive(g)
+    gram = tuple(tuple(dot(a, b) for b in lineality) for a in lineality)
+    y = solve_rational(gram, tuple(dot(a, g) for a in lineality))
+    den = math.lcm(*(yi.denominator for yi in y))
+    coeffs = tuple(int(yi * den) for yi in y)
+    proj = tuple(sum(c * b[j] for c, b in zip(coeffs, lineality)) for j in range(len(g)))
+    return primitive(tuple(den * a - b for a, b in zip(g, proj)))
+
+
+def test_projector_matches_the_gram_solve_reference():
+    rng = random.Random(64)
+    kinds = {"hermite": 0, "other": 0, "in_span": 0}
+    for _ in range(300):
+        d = rng.randint(2, 6)
+        k = rng.randint(1, d - 1)
+        basis = tuple(tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(k))
+        if rank(basis) < k:
+            continue
+        if rng.random() < 0.3:
+            # a non-saturated basis: scale one row
+            i = rng.randrange(k)
+            basis = basis[:i] + (tuple(3 * x for x in basis[i]),) + basis[i + 1 :]
+        elif rng.random() < 0.3:
+            basis = lattice_key(basis)
+        kinds["hermite" if basis == lattice_key(basis) else "other"] += 1
+        for _ in range(6):
+            if rng.random() < 0.3:
+                g = tuple(sum(rng.randint(-2, 2) * b[j] for b in basis) for j in range(d))
+                kinds["in_span"] += 1
+            else:
+                g = tuple(rng.randint(-5, 5) for _ in range(d))
+            assert _canonical_ray(g, basis) == _ref_canonical_ray(g, basis)
+    assert min(kinds.values()) >= 50, kinds
+    with pytest.raises(ValueError):
+        complement_projector(((1, 2, 0), (2, 4, 0)))
+
+
+def test_maximal_cones_drop_cones_inside_others_of_any_dimension():
+    quadrant = cone_from_generators([(1, 0), (0, 1)])
+    wedge = cone_from_generators([(1, 0), (1, 1)])
+    other = cone_from_generators([(-1, 0), (0, -1)])
+    ray = cone_from_generators([(0, 1)])
+    cones = [wedge, ray, quadrant, other, wedge, cone_from_generators([(-1, -1)])]
+    assert maximal_cones(cones) == [quadrant, other]

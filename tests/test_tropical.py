@@ -82,6 +82,29 @@ def test_minimal_indices_characterize_leaf_membership():
                 assert leaf.contains(x) == (found <= indices)
 
 
+def _ref_minimal_indices(trop, x):
+    """minimal_indices with every coordinate turned into a Fraction first."""
+    head = [Fraction(v) for v in x[: trop.r]]
+    t_star = max(Fraction(0), -min(head)) if head else Fraction(0)
+    out = {i + 1 for i, v in enumerate(head) if v + t_star > 0}
+    if t_star > 0:
+        out.add(0)
+    return frozenset(out)
+
+
+def test_minimal_indices_on_integers_and_fractions_agree():
+    rng = random.Random(4)
+    for r, c, s in [(1, 1, 0), (2, 1, 1), (3, 2, 2), (4, 3, 0)]:
+        t = trop_structure(r, c, s)
+        for _ in range(150):
+            x = tuple(rng.randint(-4, 4) for _ in range(r + s))
+            found = minimal_indices(t, x)
+            assert found == minimal_indices(t, tuple(Fraction(v) for v in x))
+            assert found == _ref_minimal_indices(t, x)
+            y = tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(r + s))
+            assert minimal_indices(t, y) == _ref_minimal_indices(t, y)
+
+
 def test_indices_of_cones(trop):
     assert indices_of_cone(trop, SIGMA1) == {0, 1, 2}
     assert indices_of_cone(trop, SIGMA3) == {0}
