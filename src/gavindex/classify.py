@@ -17,7 +17,6 @@ import logging
 import math
 import os
 from bisect import bisect_right
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
@@ -655,8 +654,11 @@ def dedupe(candidates: Sequence[Candidate]) -> DedupeResult:
 # which tuples are looked at.  The inequalities each setting states
 # shrink the loops in the same way: settings 3 and 4 drop the heads
 # (d01, d21) and the divisors that no tuple can complete, and setting 2
-# drops the column pairs whose window of d01 is empty, before any
-# multiplier is computed.  Survivors go through full verification.
+# writes its minor as 2*D = l21*b - l22*a for the leading forms
+# a <= -1 < 1 <= b, so D >= (l21 + l22) / 2; with D dividing
+# iota*|l21 - l22| this drops most pairs (l21, l22) and caps a and b,
+# before any multiplier is computed.  Survivors go through full
+# verification.
 
 
 def _mult_ratio(numer: int, *congruent: int) -> int | None:
@@ -706,79 +708,58 @@ def _mult_leading(d01: int, el: int, d: int) -> int | None:
     return _mult_ratio(el * d01 + 2 * d, el + 2, d - d01)
 
 
-def _s2_columns(iota: int, bound: int, l21: int, l22: int) -> list[tuple[int, int]]:
-    # D = l21*(d22 - d21) + d21*(l21 - l22), so the gcd in m34 equals
-    # gcd(l21 - l22, d22 - d21), a divisor of l21 - l22, and by the
-    # lemma m34 | iota forces D | iota*(l21 - l22).  For each such D > 0,
-    # l22*d21 = -D (mod l21) needs g = gcd(l21, l22) to divide D and puts
-    # d21 in one residue class mod l21/g; |d22| <= bound with
-    # d22 = (D + l22*d21) / l21 cuts that class to a range.
-    g = math.gcd(l21, l22)
-    step = l21 // g
-    inverse = pow(l22 // g, -1, step)
-    columns = []
-    for minor in _divisors(iota * (l21 - l22)):
-        if minor % g:
-            continue
-        residue = -(minor // g) * inverse % step
-        lo = max(-bound, -((bound * l21 + minor) // l22))
-        hi = min(bound, (bound * l21 - minor) // l22)
-        for d21 in range(lo + (residue - lo) % step, hi + 1, step):
-            columns.append((d21, (minor + l22 * d21) // l21))
-    return columns
-
-
 def _box_s2(iota: int, bound: int) -> list[Params]:
-    # The two cones containing both third-block columns share one
-    # multiplier m34 = |D| / gcd(D, l21 - l22, d22 - d21) for the minor
-    # D = l21*d22 - l22*d21.  The inequalities need
-    # -2*d22/l22 < d01 < -2*d21/l21, so only D > 0 is looked at.
+    # With a = l21*d01 + 2*d21 and b = l22*d01 + 2*d22 the two cones on
+    # the leading column give m1 = |a| / gcd(a, l21 + 2, d21 - d01) and
+    # m2 = |b| / gcd(b, l22 + 2, d22 - d01), so by the lemma a divides
+    # iota*(l21 + 2) and b divides iota*(l22 + 2); the inequalities read
+    # a <= -1 and b >= 1.  The two cones containing both third-block
+    # columns share m34 = |D| / gcd(D, l21 - l22, d22 - d21) for the
+    # minor D = l21*d22 - l22*d21 = (l21*b - l22*a) / 2, which is at
+    # least (l21 + l22) / 2.  When l21 == l22, m34 = l21 for every
+    # D > 0.  Otherwise D = l21*(d22 - d21) + d21*(l21 - l22) makes the
+    # gcd in m34 a divisor of l21 - l22, so D divides
+    # reach = iota*|l21 - l22|: a pair with 2*reach < l21 + l22 keeps no
+    # tuple, and with D <= reach, b >= 1 and a <= -1 give
+    # -a <= (2*reach - l21) / l22 and b <= (2*reach - l22) / l21.
+    # Each (a, b) then leaves d01 alone, with d21 = (a - l21*d01) / 2 and
+    # d22 = (b - l22*d01) / 2 in the box.
+    divisors = {el: _divisors(iota * (el + 2)) for el in range(2, bound + 1)}
     hits = []
     for l21 in range(2, bound + 1):
         for l22 in range(2, bound + 1):
+            lows, highs = divisors[l21], divisors[l22]
+            reach = iota * abs(l21 - l22)
             if l21 == l22:
-                # D = l21*(d22 - d21) and the gcd is |d22 - d21|, so
-                # m34 = l21 for every d22 > d21.
                 if iota % l21:
                     continue
-                span = range(-bound, bound + 1)
-                columns = [(d21, d22) for d21 in span for d22 in span if d22 > d21]
+            elif 2 * reach < l21 + l22:
+                continue
             else:
-                columns = _s2_columns(iota, bound, l21, l22)
-            for d21, d22 in columns:
-                # The other two multipliers divide the index only when
-                # |l * d01 + 2d| <= iota * (l + 2), which confines d01 to
-                # a short window around -2d/l on both sides.  The strict
-                # interval of the inequalities above cuts it further, to
-                # floor(-2*d22/l22) + 1 <= d01 <= ceil(-2*d21/l21) - 1,
-                # and a column whose window is empty is dropped before
-                # its minor is tested.
-                lo = max(
-                    -((iota * (l21 + 2) + 2 * d21) // l21),
-                    -((iota * (l22 + 2) + 2 * d22) // l22),
-                    -2 * d22 // l22 + 1,
-                    -bound,
-                )
-                hi = min(
-                    (iota * (l21 + 2) - 2 * d21) // l21,
-                    (iota * (l22 + 2) - 2 * d22) // l22,
-                    -(2 * d21 // l21) - 1,
-                    bound,
-                )
-                if lo > hi:
-                    continue
-                minor = l21 * d22 - l22 * d21
-                m34 = _mult_ratio(minor, l21 - l22, d22 - d21)
-                if m34 is None or iota % m34:
-                    continue
-                for d01 in range(lo, hi + 1):
-                    values = (l21, l22, d01, d21, d22)
-                    if not _ineq_s2(values):
+                lows = lows[: bisect_right(lows, (2 * reach - l21) // l22)]
+                highs = highs[: bisect_right(highs, (2 * reach - l22) // l21)]
+            for minus_a in lows:
+                a = -minus_a
+                for b in highs:
+                    twice = l21 * b - l22 * a
+                    if twice % 2 or (reach and reach % (twice // 2)):
                         continue
-                    m1 = _mult_leading(d01, l21, d21)
-                    m2 = _mult_leading(d01, l22, d22)
-                    if _lcm_hits(iota, m1, m2, m34):
-                        hits.append(values)
+                    lo = max(-((2 * bound - a) // l21), -((2 * bound - b) // l22))
+                    hi = min((2 * bound + a) // l21, (2 * bound + b) // l22)
+                    for d01 in range(max(lo, -bound), min(hi, bound) + 1):
+                        d21, odd1 = divmod(a - l21 * d01, 2)
+                        d22, odd2 = divmod(b - l22 * d01, 2)
+                        if odd1 or odd2:
+                            continue
+                        values = (l21, l22, d01, d21, d22)
+                        if not _ineq_s2(values):
+                            continue
+                        m1 = _mult_leading(d01, l21, d21)
+                        m2 = _mult_leading(d01, l22, d22)
+                        minor = l21 * d22 - l22 * d21
+                        m34 = _mult_ratio(minor, l21 - l22, d22 - d21)
+                        if _lcm_hits(iota, m1, m2, m34):
+                            hits.append(values)
     return hits
 
 
@@ -798,6 +779,14 @@ def _box_s34(setting_id: int, iota: int, bound: int) -> list[Params]:
     # That range includes k = 0, the degenerate case 2*d21 + d01 = 0
     # where setting 4 omits the cone on the first four columns.
     kmin = 0 if conditional else 1
+    # Setting 3 also states d22 > l22*d21 + l22, that is x > l22, and
+    # with x <= iota*(l22 - 1) that needs (iota - 1)*l22 > iota: l22
+    # starts past iota/(iota - 1), and at iota = 1 no l22 is left.
+    first = 2
+    if not conditional:
+        first = iota // (iota - 1) + 1 if iota > 1 else bound + 1
+    if first > bound:
+        return []
     heads = []
     for d01 in range(-bound, bound + 1):
         # 2*d21 = -d01 - k, so k <= 2*iota - 1 sets the lowest d21 and
@@ -811,12 +800,6 @@ def _box_s34(setting_id: int, iota: int, bound: int) -> list[Params]:
             m1 = _mult_leading(d01, 1, d21)
             if m1 is not None and iota % m1 == 0:
                 heads.append((d01, d21, m1))
-    # Setting 3 also states d22 > l22*d21 + l22, that is x > l22, and
-    # with x <= iota*(l22 - 1) that needs (iota - 1)*l22 > iota: l22
-    # starts past iota/(iota - 1), and at iota = 1 no l22 is left.
-    first = 2
-    if not conditional:
-        first = iota // (iota - 1) + 1 if iota > 1 else bound + 1
     offsets = {l22: _divisors(iota * (l22 - 1)) for l22 in range(first, bound + 1)}
     hits = []
     for d01, d21, m1 in heads:
@@ -893,9 +876,12 @@ def brute_force_box(setting_id: int, index: int, bound: int) -> tuple[Params, ..
     inequalities cut the loops before any multiplier is tested.  The
     cost grows with the bound about linearly in settings 1 and 5, about
     as bound * log(bound) in settings 3 and 4, and about quadratically
-    in setting 2, which skips the column pairs whose window of d01 is
-    empty.  Setting 3 at index 1 costs only its loop over (d01, d21),
-    since no tuple satisfies it.
+    in setting 2, whose loop over (l21, l22) does a few integer tests
+    per pair: its minor D = l21*d22 - l22*d21 satisfies
+    2*D = l21*b - l22*a >= l21 + l22 for a = l21*d01 + 2*d21 <= -1 and
+    b = l22*d01 + 2*d22 >= 1, and D divides index*|l21 - l22| when
+    l21 != l22, which leaves few pairs and few divisors a and b.
+    Setting 3 at index 1 returns at once, since no tuple satisfies it.
     """
     if bound < 1:
         raise ValueError("bound must be a positive integer")
@@ -965,6 +951,9 @@ def classify_index(
 
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers > 1:
+        # Imported here, since a serial run needs none of its modules.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_verify_task, tasks, chunksize=8))
     else:

@@ -6,7 +6,7 @@ matrix of setting 5 at (3, -2), and the boundary vertex set of setting
 checked against the generic linear-system solver on random input, since
 box completeness rests on them.  The divisor-driven box filters are
 checked against window scans that walk every value the multiplier
-bounds allow.
+bounds allow, and setting 2 also against a column scan at larger bounds.
 """
 
 import math
@@ -540,6 +540,62 @@ def _window_s2(iota: int, bound: int) -> list[Params]:
     return hits
 
 
+def _column_s2(iota: int, bound: int) -> list[Params]:
+    # Walks the columns (d21, d22) whose minor D divides
+    # iota*(l21 - l22), one residue class of d21 per divisor, and then
+    # the window of d01 that the inequalities and the two leading
+    # multipliers leave; no pair or minor is cut beforehand.  It reaches
+    # bounds where the window scan above is too slow.
+    hits = []
+    for l21 in range(2, bound + 1):
+        for l22 in range(2, bound + 1):
+            if l21 == l22:
+                if iota % l21:
+                    continue
+                span = range(-bound, bound + 1)
+                columns = [(d21, d22) for d21 in span for d22 in span if d22 > d21]
+            else:
+                g = math.gcd(l21, l22)
+                step = l21 // g
+                inverse = pow(l22 // g, -1, step)
+                columns = []
+                for minor in _divisors(iota * (l21 - l22)):
+                    if minor % g:
+                        continue
+                    residue = -(minor // g) * inverse % step
+                    lo = max(-bound, -((bound * l21 + minor) // l22))
+                    hi = min(bound, (bound * l21 - minor) // l22)
+                    for d21 in range(lo + (residue - lo) % step, hi + 1, step):
+                        columns.append((d21, (minor + l22 * d21) // l21))
+            for d21, d22 in columns:
+                lo = max(
+                    -((iota * (l21 + 2) + 2 * d21) // l21),
+                    -((iota * (l22 + 2) + 2 * d22) // l22),
+                    -2 * d22 // l22 + 1,
+                    -bound,
+                )
+                hi = min(
+                    (iota * (l21 + 2) - 2 * d21) // l21,
+                    (iota * (l22 + 2) - 2 * d22) // l22,
+                    -(2 * d21 // l21) - 1,
+                    bound,
+                )
+                if lo > hi:
+                    continue
+                m34 = _mult_ratio(l21 * d22 - l22 * d21, l21 - l22, d22 - d21)
+                if m34 is None or iota % m34:
+                    continue
+                for d01 in range(lo, hi + 1):
+                    values = (l21, l22, d01, d21, d22)
+                    if not _ineq_s2(values):
+                        continue
+                    m1 = _mult_leading(d01, l21, d21)
+                    m2 = _mult_leading(d01, l22, d22)
+                    if _lcm_hits(iota, m1, m2, m34):
+                        hits.append(values)
+    return hits
+
+
 def _window_s34(setting_id: int, iota: int, bound: int) -> list[Params]:
     spec = SETTINGS[setting_id]
     conditional = setting_id == 4
@@ -624,10 +680,48 @@ def test_box_filter_matches_window_scan(setting):
             assert len(set(got)) == len(got)
 
 
-def test_box_setting_three_index_one_is_empty():
-    # x = d22 - l22*d21 would need l22 < x <= l22 - 1.
-    assert _box_s34(3, 1, 200) == []
+def test_box_setting_two_matches_column_scan():
+    for iota in range(1, 5):
+        for bound in range(13, 41):
+            got = _box_s2(iota, bound)
+            assert sorted(got) == sorted(_column_s2(iota, bound)), (iota, bound)
+            assert len(set(got)) == len(got)
+
+
+def test_box_setting_two_survivors_obey_the_minor_identity():
+    # _box_s2 enumerates a and b through divisors and cuts pairs and
+    # minors by 2*D = l21*b - l22*a >= l21 + l22; every survivor of
+    # the window scan must satisfy what those cuts assume.
+    seen = 0
+    for iota in range(1, 7):
+        for l21, l22, d01, d21, d22 in _window_s2(iota, 12):
+            a = l21 * d01 + 2 * d21
+            b = l22 * d01 + 2 * d22
+            minor = l21 * d22 - l22 * d21
+            assert a <= -1 and b >= 1
+            assert 2 * minor == l21 * b - l22 * a >= l21 + l22
+            assert iota * (l21 + 2) % a == 0 and iota * (l22 + 2) % b == 0
+            if l21 == l22:
+                assert iota % l21 == 0
+            else:
+                assert iota * (l21 - l22) % minor == 0
+                assert 2 * iota * abs(l21 - l22) >= l21 + l22
+                seen += 1
+    assert seen > 100
+
+
+def test_box_setting_three_index_one_is_empty(monkeypatch):
+    from gavindex import classify
+
     assert _window_s34(3, 1, 60) == []
+
+    # x = d22 - l22*d21 would need l22 < x <= l22 - 1, so the scan
+    # returns before it tests any head's multiplier.
+    def no_head(*args):
+        raise AssertionError("a head was built")
+
+    monkeypatch.setattr(classify, "_mult_leading", no_head)
+    assert _box_s34(3, 1, 200) == []
 
 
 def test_divisor_lemma():

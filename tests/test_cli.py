@@ -1,5 +1,6 @@
 """End-to-end command tests driving cli.main with in-process argv."""
 
+import concurrent.futures
 import copy
 import json
 import random
@@ -307,7 +308,7 @@ def test_classify_pool_is_bounded(capsys, monkeypatch, cpus, workers):
 
     argv = ("classify", "--index", "1", "--settings", "5")
     serial = run(capsys, *argv)
-    monkeypatch.setattr(classify, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(classify.os, "cpu_count", lambda: cpus)
     # setting 5 has three tuples at index 1
     assert run(capsys, *argv, "--jobs", "100000") == serial
