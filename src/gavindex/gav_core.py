@@ -9,6 +9,7 @@ are indexed by blocks 0..r (sizes n_0..n_r) followed by m extra columns.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -36,7 +37,6 @@ from .polyhedra import (
     is_complete,
     make_fan,
     maximal_cones,
-    zero_cone,
 )
 from . import tropical
 
@@ -321,20 +321,26 @@ def anticanonical_class(data: ArrangementData) -> KElement:
 def moving_cone(data: ArrangementData) -> Cone:
     """Intersection over the orthant's facets of the degree images.
 
-    Lives in the free part of the grading group.
+    Lives in the free part of the grading group.  The columns of P must
+    generate the ambient space as a cone, which is decided there too:
+    they do exactly when P has full row rank and some strictly positive
+    vector lies in its kernel, and by Gordan's alternative such a vector
+    exists exactly when the free degrees are nonzero and span a pointed
+    cone.
     """
-    cols = data.columns()
-    hull = cone_from_generators(cols)
-    if hull.normals or hull.equations:
+    dd = degree_map(data)
+    degrees = [w.free for w in dd.degrees]
+    if (
+        data.num_cols - dd.free_rank != data.ambient_dim
+        or not all(any(w) for w in degrees)
+        or not cone_from_generators(degrees, ambient=dd.free_rank).is_pointed
+    ):
         raise NotQuasiprojectiveSetup(
             "columns of P must generate the ambient space as a cone"
         )
-    dd = degree_map(data)
-    if dd.free_rank == 0:
-        return zero_cone(0)
     result: Cone | None = None
     for drop in range(data.num_cols):
-        gens = [dd.degrees[j].free for j in range(data.num_cols) if j != drop]
+        gens = degrees[:drop] + degrees[drop + 1 :]
         facet_cone = cone_from_generators(gens, ambient=dd.free_rank)
         result = facet_cone if result is None else intersect(result, facet_cone)
     assert result is not None
@@ -344,54 +350,39 @@ def moving_cone(data: ArrangementData) -> Cone:
 def _free_part(u: KElement | Sequence[int]) -> tuple[int, ...]:
     if isinstance(u, KElement):
         return tuple(u.free)
-    return tuple(int(x) for x in u)
+    if any(type(x) is not int for x in u):
+        raise ValueError("class coordinates must be integers")
+    return tuple(u)
 
 
-def _relint_of_degree_cone(dd: DegreeData, subset: tuple[int, ...], u: tuple[int, ...]) -> bool:
-    gens = [dd.degrees[j].free for j in subset]
-    if dd.free_rank == 1:
-        vals = [g[0] for g in gens]
-        x = u[0]
-        has_pos = any(v > 0 for v in vals)
-        has_neg = any(v < 0 for v in vals)
-        if has_pos and has_neg:
-            return True
-        if has_pos:
-            return x > 0
-        if has_neg:
-            return x < 0
-        return x == 0
-    c = cone_from_generators(gens, ambient=dd.free_rank)
-    return c.relint_contains(u)
+# Most subsets of the columns the ample-fan search may test.
+FACE_BUDGET = 1 << 20
 
 
 def _sigma_u(data: ArrangementData, u_free: tuple[int, ...]) -> Fan:
     """The raw ample-class fan: images of complementary orthant faces.
 
-    Iterates over all faces of the positive orthant; a face qualifies
-    when u lies in the relative interior of the image of its span.
+    A face gamma0 of the orthant qualifies when u lies in the relative
+    interior of the image of its span, and the cones come from the
+    minimal qualifying faces.  By Carathéodory's theorem these are
+    exactly the sets of at most k = free rank columns whose degrees are
+    linearly independent (their cone's dimension is their number) and
+    have u in their open positive span, so sum_{i <= k} C(n, i) subsets
+    are tested instead of all 2^n faces.
     """
-    if data.num_cols > 20:
-        raise ValueError("face enumeration over more than 2^20 subsets refused")
+    n, k = data.num_cols, len(u_free)
+    tested = sum(math.comb(n, size) for size in range(1, k + 1))
+    if tested > FACE_BUDGET:
+        raise ValueError(f"face enumeration over {tested} subsets refused (budget {FACE_BUDGET})")
     dd = degree_map(data)
     cols = data.columns()
-    qualifying: list[tuple[int, ...]] = []
-    for bits in itertools.product((0, 1), repeat=data.num_cols):
-        gamma0 = tuple(j for j, b in enumerate(bits) if b)
-        if not gamma0:
-            continue
-        if _relint_of_degree_cone(dd, gamma0, u_free):
-            complement = tuple(j for j, b in enumerate(bits) if not b)
-            qualifying.append(complement)
-    subset_maximal = [
-        g
-        for g in qualifying
-        if not any(h != g and set(g) <= set(h) for h in qualifying)
-    ]
-    cones = [
-        cone_from_generators([cols[j] for j in idx_set], ambient=data.ambient_dim)
-        for idx_set in subset_maximal
-    ]
+    cones = []
+    for size in range(1, k + 1):
+        for gamma0 in itertools.combinations(range(n), size):
+            image = cone_from_generators([dd.degrees[j].free for j in gamma0], ambient=k)
+            if image.dim == size and image.relint_contains(u_free):
+                complement = [cols[j] for j in range(n) if j not in gamma0]
+                cones.append(cone_from_generators(complement, ambient=data.ambient_dim))
     return make_fan(maximal_cones(cones))
 
 
@@ -408,7 +399,7 @@ def _ample_fan(data: ArrangementData, u_free: tuple[int, ...]) -> Fan | None:
     pruned from the raw face-image fan.
     """
     mov = moving_cone(data)
-    if not u_free or not mov.relint_contains(u_free):
+    if not mov.relint_contains(u_free):
         raise NotAmple("class is not in the interior of the moving cone")
     raw = _sigma_u(data, u_free)
     if not is_complete(raw):

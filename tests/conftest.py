@@ -1,4 +1,6 @@
+import random
 from dataclasses import dataclass
+from fractions import Fraction
 
 import pytest
 
@@ -47,3 +49,25 @@ def _check_big_cone_lineality(trop, cone) -> LinealityReport:
 @pytest.fixture
 def check_big_cone_lineality():
     return _check_big_cone_lineality
+
+
+# Entry pools of bench/gen.py's random documents: parameters t for the
+# Vandermonde matrix A, exponents l and free rows D.
+_T_POOL = tuple(Fraction(t) for t in (0, 1, -1, 2, -2, "1/2", "-1/2", 3))
+
+
+def _random_document(rng: random.Random, r: int, c: int, s: int, n, m: int) -> dict:
+    """A random document of one shape (r, c, s, n, m), drawn as bench/gen.py draws it."""
+    l = [[rng.choice((1, 1, 2, 2, 3, 4)) for _ in range(ni)] for ni in n]
+    ts = rng.sample(_T_POOL, r + 1)
+    A = [[str(t**k) for t in ts] for k in range(c + 1)]
+    D = [
+        [rng.choice((-2, -1, -1, 0, 0, 1, 1, 2)) for _ in range(sum(n) + m)]
+        for _ in range(s)
+    ]
+    return {"r": r, "c": c, "n": list(n), "m": m, "l": l, "A": A, "D": D}
+
+
+@pytest.fixture
+def random_document():
+    return _random_document

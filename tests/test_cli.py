@@ -3,13 +3,17 @@
 import concurrent.futures
 import copy
 import json
+import pathlib
 import random
 from fractions import Fraction
 
 import pytest
 
-from gavindex import acomplex, classify, cli
+from gavindex import acomplex, classify, cli, gav_core
 from gavindex.gav_core import fan_from_index_sets
+
+DATA = pathlib.Path(__file__).parent / "data"
+NOT_GENERATING = "columns of P must generate the ambient space as a cone"
 
 WORKED = {
     "r": 2,
@@ -262,6 +266,42 @@ def test_gorenstein_not_fano_without_fan(capsys, tmp_path):
     assert "error" in report
 
 
+# Wide documents, found once with bench/gen.py's random shapes
+# (1, 1, 9, (6, 6), 0), (1, 1, 14, (8, 8), 0) and (1, 1, 13, (8, 8), 0),
+# and projective 20-space with r = c = 1 and every exponent 1.
+
+
+@pytest.mark.parametrize(
+    "name, columns, free_rank",
+    [("fano-12-columns", 12, 2), ("fano-16-columns", 16, 1), ("projective-20-space", 21, 1)],
+)
+def test_wide_fano_documents(capsys, name, columns, free_rank):
+    path = str(DATA / f"{name}.json")
+    data, _ = cli.parse_input(pathlib.Path(path).read_text())
+    assert (data.num_cols, gav_core.degree_map(data).free_rank) == (columns, free_rank)
+    code, report = run(capsys, "gorenstein", path)
+    assert code == 0
+    assert report["via_complex"] == report["via_cones"] == report["gorenstein_index"]
+    if name == "projective-20-space":
+        assert report["gorenstein_index"] == 1
+
+
+def test_wide_document_whose_columns_do_not_generate(capsys):
+    code, report = run(capsys, "gorenstein", str(DATA / "not-generating-16-columns.json"))
+    assert code == 2
+    assert report == {"error": NOT_GENERATING}
+
+
+def test_ample_fan_search_budget(capsys, monkeypatch, tmp_path):
+    # the worked example has four columns and free rank one: four subsets
+    monkeypatch.setattr(gav_core, "FACE_BUDGET", 3)
+    path = tmp_path / "nofan.json"
+    path.write_text(json.dumps({k: v for k, v in WORKED.items() if k != "fan"}))
+    code, report = run(capsys, "fan", str(path))
+    assert code == 1
+    assert report == {"error": "face enumeration over 4 subsets refused (budget 3)"}
+
+
 def test_classify_cap(capsys):
     code, report = run(capsys, "classify", "--index", "9")
     assert code == 1 and "between 1 and 5" in report["error"]
@@ -429,10 +469,11 @@ def test_one_process_matches_fresh_parsers(capsys, worked_file):
 # ---------------------------------------------------------------------------
 # fuzzed documents
 #
-# Seeded mutations of the README documents and the documents above: one
-# entry replaced by a value of a wrong type or size, a field or entry
-# dropped, a row made ragged, or the JSON text cut short.  Every case
-# must end in exactly one JSON report and a documented exit code.
+# Seeded mutations of the README documents, the documents above and
+# random documents of bench/gen.py's shape classes: one entry replaced by
+# a value of a wrong type or size, a field or entry dropped, a row made
+# ragged, or the JSON text cut short.  Every case must end in exactly one
+# JSON report and a documented exit code.
 
 FUZZ_BASES = (
     WORKED,
@@ -443,6 +484,13 @@ FUZZ_BASES = (
 FUZZ_COMMANDS = (
     ("trop",), ("gorenstein", "--method", "complex"),
     ("gorenstein", "--method", "cones"), ("gorenstein", "--toric"),
+)
+# the shape classes (r, c, s, n, m) of bench/gen.py
+GEN_SHAPES = (
+    (1, 1, 1, (2, 1), 0), (1, 1, 1, (2, 2), 0), (1, 1, 2, (2, 2), 0),
+    (1, 1, 2, (2, 2), 1), (2, 2, 1, (1, 1, 1), 1), (2, 1, 1, (1, 1, 1), 1),
+    (2, 2, 1, (1, 2, 2), 0), (2, 1, 1, (2, 2, 1), 0), (2, 2, 2, (2, 2, 2), 0),
+    (3, 3, 1, (1, 1, 2, 2), 0), (3, 2, 1, (1, 1, 1, 2), 0),
 )
 FUZZ_VALUES = (
     1.5, -0.0, True, False, None, "x", "7", "1/0",
@@ -490,7 +538,15 @@ def _mutated(rng: random.Random, doc: dict) -> str:
     return text
 
 
-def test_fuzzed_documents_end_in_one_report(capsys, tmp_path):
+def _nudged(rng: random.Random, doc: dict) -> str:
+    """The document with one entry of D set to a small integer."""
+    doc = copy.deepcopy(doc)
+    row = rng.choice(doc["D"])
+    row[rng.randrange(len(row))] = rng.choice((-2, -1, 0, 1, 2))
+    return json.dumps(doc)
+
+
+def test_fuzzed_documents_end_in_one_report(capsys, tmp_path, random_document):
     rng = random.Random(20261020)
     path = tmp_path / "fuzzed.json"
 
@@ -500,13 +556,13 @@ def test_fuzzed_documents_end_in_one_report(capsys, tmp_path):
         report = json.loads(capsys.readouterr().out)
         assert isinstance(report, dict), (argv, text)
         assert code in (0, 1, 2, 3), (argv, text)
-        return code
+        return code, report
 
     codes = set()
     for _ in range(300):
         text = _mutated(rng, rng.choice(FUZZ_BASES))
         command = rng.choice(("validate", "info", "fan", "acomplex", "gorenstein"))
-        codes.add(report_code((command,), text))
+        codes.add(report_code((command,), text)[0])
     # the mutations reach past parsing into the computations
     assert {0, 1, 2} <= codes
     # single index routes, the leaf structure, and the toric oracle on
@@ -515,5 +571,16 @@ def test_fuzzed_documents_end_in_one_report(capsys, tmp_path):
     for _ in range(400):
         command = rng.choice(FUZZ_COMMANDS)
         base = TORIC if "--toric" in command else rng.choice(FUZZ_BASES)
-        reached[command].add(report_code(command, _mutated(rng, base)))
+        reached[command].add(report_code(command, _mutated(rng, base))[0])
     assert all({0, 1} <= got for got in reached.values()), reached
+    # random documents: about a third of those with one entry of D
+    # changed pass validate, and most of these have columns that do not
+    # generate the ambient space as a cone
+    outcomes = set()
+    for _ in range(200):
+        doc = random_document(rng, *rng.choice(GEN_SHAPES))
+        mutate = rng.choice((_mutated, _nudged))
+        command = rng.choice(("info", "fan", "gorenstein"))
+        code, report = report_code((command,), mutate(rng, doc))
+        outcomes.add((code, report.get("error") == NOT_GENERATING))
+    assert {(0, False), (1, False), (2, True)} <= outcomes, outcomes

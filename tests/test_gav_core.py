@@ -5,6 +5,9 @@ generator degrees 5, 8, 9, 6 and relation degree 18; its anticanonical
 fan has two full dimensional cones plus one two dimensional cone.
 """
 
+import collections
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,6 +15,7 @@ import pytest
 from gavindex.errors import NotAmple, NotQuasiprojectiveSetup
 from gavindex.exactla import lattice_key, mat_vec
 from gavindex.gav_core import (
+    _sigma_u,
     DegreeData,
     KElement,
     anticanonical_class,
@@ -24,7 +28,12 @@ from gavindex.gav_core import (
     relations,
     validate,
 )
-from gavindex.polyhedra import check_fan
+from gavindex.polyhedra import (
+    check_fan,
+    cone_from_generators,
+    make_fan,
+    maximal_cones,
+)
 
 
 def test_assembled_matrix(worked):
@@ -231,6 +240,17 @@ def test_moving_cone_requires_spanning_cone():
         moving_cone(data)
 
 
+def test_moving_cone_requires_full_row_rank():
+    # P = ((-1, 1, 0), (1, -1, 0)) has rank one; its three degrees are
+    # nonzero and span a pointed cone
+    data = make_data(
+        r=1, c=1, n=(1, 1), m=1, l=((1,), (1,)), A=((1, 0), (0, 1)), D=((1, -1, 0),)
+    )
+    assert [w.free for w in degree_map(data).degrees] == [(1, 0), (1, 0), (0, 1)]
+    with pytest.raises(NotQuasiprojectiveSetup):
+        moving_cone(data)
+
+
 EXPECTED_INDEX_SETS = ((0, 1), (0, 2, 3), (1, 2, 3))
 
 
@@ -257,6 +277,13 @@ def test_fan_from_ample_rejects_boundary_classes(worked):
         fan_from_ample(worked, (0,))
     with pytest.raises(NotAmple):
         fan_from_ample(worked, (-3,))
+
+
+@pytest.mark.parametrize("u", [(Fraction(1, 2),), (0.9,), (True,), ("7",)])
+def test_fan_from_ample_refuses_non_integer_classes(worked, u):
+    # int() would turn 1/2 and 0.9 into 0, True into 1 and "7" into 7
+    with pytest.raises(ValueError, match="integers"):
+        fan_from_ample(worked, u)
 
 
 def test_is_fano_on_worked_example(worked):
@@ -300,3 +327,82 @@ def test_check_fan_rejects_overlapping_column_cones(worked):
     fan = fan_from_index_sets(worked, [(0, 1, 2, 3), (0, 2, 3)])
     with pytest.raises(ValueError, match="common faces"):
         check_fan(fan)
+
+
+# ---------------------------------------------------------------------------
+# references for the ample fan and the generation test
+#
+# _sigma_u tests only the sets of at most k = free rank columns with
+# independent degrees, and moving_cone decides generation in the grading
+# group.  The references follow the definitions: the scan over all 2^n
+# faces of the orthant with its maximality filter, and the cone of the
+# columns in the ambient dimension.
+
+
+def _reference_sigma_u(data, u):
+    dd = degree_map(data)
+    cols = data.columns()
+    qualifying = []
+    for bits in itertools.product((0, 1), repeat=data.num_cols):
+        gamma0 = [dd.degrees[j].free for j, b in enumerate(bits) if b]
+        if gamma0 and cone_from_generators(gamma0, ambient=dd.free_rank).relint_contains(u):
+            qualifying.append(frozenset(j for j, b in enumerate(bits) if not b))
+    maximal = [g for g in qualifying if not any(g < h for h in qualifying)]
+    cones = [
+        cone_from_generators([cols[j] for j in sorted(g)], ambient=data.ambient_dim)
+        for g in maximal
+    ]
+    return make_fan(maximal_cones(cones))
+
+
+def _reference_generates(data):
+    hull = cone_from_generators(data.columns())
+    return not hull.normals and not hull.equations
+
+
+# (r, c, s, n, m) with 3-9 columns and free ranks 1-5
+REFERENCE_SHAPES = (
+    (1, 1, 1, (2, 1), 0),
+    (1, 1, 1, (2, 2), 0),
+    (2, 1, 1, (2, 2, 1), 0),
+    (1, 1, 1, (3, 2), 0),
+    (2, 1, 1, (2, 2, 2), 0),
+    (1, 1, 2, (2, 2), 1),
+    (1, 1, 1, (3, 3), 0),
+    (2, 1, 1, (2, 2, 2), 1),
+    (2, 1, 2, (3, 3, 2), 0),
+    (1, 1, 1, (3, 3), 1),
+    (2, 1, 2, (3, 3, 3), 0),
+)
+
+
+def test_ample_fan_and_generation_against_references(random_document):
+    rng = random.Random(20261021)
+    verdicts = collections.Counter()
+    fans = collections.Counter()
+    while min(verdicts[k, g] for k in range(1, 6) for g in (True, False)) < 3:
+        doc = random_document(rng, *rng.choice(REFERENCE_SHAPES))
+        data = make_data(**{key: doc[key] for key in ("r", "c", "n", "m", "l", "A", "D")})
+        if validate(data):
+            continue
+        generates = _reference_generates(data)
+        try:
+            mov = moving_cone(data)
+        except NotQuasiprojectiveSetup:
+            mov = None
+        assert (mov is not None) == generates, doc
+        k = degree_map(data).free_rank
+        verdicts[k, generates] += 1
+        # the 2^n scan is slow at nine columns: compare the fans of the
+        # first three documents of each free rank whose columns generate
+        if mov is None or verdicts[k, True] > 3:
+            continue
+        # the anticanonical class, the degrees and the sum of the moving
+        # cone's rays: generic classes and classes on chamber walls
+        degrees = [w.free for w in degree_map(data).degrees]
+        points = {anticanonical_class(data).free, *degrees}
+        points.add(tuple(map(sum, zip(*mov.rays))))
+        for u in sorted(p for p in points if mov.relint_contains(p)):
+            assert _sigma_u(data, u).key() == _reference_sigma_u(data, u).key(), (doc, u)
+            fans[k] += 1
+    assert all(fans[k] >= 3 for k in range(1, 6)), fans
