@@ -50,7 +50,6 @@ from .polyhedra import (
     Fan,
     columns_in,
     cone_from_generators,
-    facet_key,
     intersect,
     level_cut,
     maximal_cones,
@@ -117,54 +116,20 @@ class AnticanonicalComplex:
     pieces: tuple[PieceInfo, ...]
     boundary: tuple[Cell, ...]
 
-    def cells(self) -> tuple[Cell, ...]:
-        return tuple(p.cell for p in self.pieces)
-
     def boundary_vertices(self) -> frozenset:
         return frozenset(v for b in self.boundary for v in b.vertices)
-
-
-def _check_leaf_covering(trop: tropical.TropStructure, fan: Fan) -> None:
-    """Full dimensional pieces must tile every leaf of top size.
-
-    Inside a leaf, each facet of a piece either lies on the leaf's own
-    boundary or is shared by exactly two pieces.
-    """
-    for combo in itertools.combinations(range(trop.r + 1), trop.c):
-        leaf = trop.leaf(combo)
-        pieces = list(dict.fromkeys(intersect(c, leaf) for c in fan.maximal))
-        full = [p for p in pieces if p.dim == leaf.dim]
-        if not full:
-            raise ValueError(
-                f"fan does not cover the tropical leaf {sorted(combo)}"
-            )
-        boundary_cones = []
-        for i in combo:
-            rest = frozenset(combo) - {i}
-            boundary_cones.append(
-                trop.leaf(rest) if rest else trop.lineality_cone
-            )
-        counts: dict[tuple, int] = {}
-        for p in full:
-            for nu in p.normals:
-                tight, lin = facet_key(p, nu)
-                spans = tight + lin + tuple(tuple(-x for x in v) for v in lin)
-                if any(all(b.contains(g) for g in spans) for b in boundary_cones):
-                    continue
-                counts[(tight, lin)] = counts.get((tight, lin), 0) + 1
-        if any(v != 2 for v in counts.values()):
-            raise ValueError(
-                f"fan does not cover the tropical leaf {sorted(combo)}"
-            )
 
 
 def build_complex(data: ArrangementData, fan: Fan | None = None) -> AnticanonicalComplex:
     """Assemble pieces, truncated cells and boundary roofs over the fan.
 
-    Requires the fan to either consist of a single maximal cone or to
-    cover the tropical support. The truncated cell of a piece must not
-    depend on the chosen block index or on which parent cone produced
-    it; both are asserted.
+    Each fan cone must be generated by the matrix columns inside it and
+    be a leaf cone or a big cone.  The pieces are the maximal ones among
+    the intersections of fan cones with the top leaves of the tropical
+    variety; the fan need not cover those leaves, so a piece need not be
+    full dimensional.  The truncated cell of a piece must not depend on
+    the chosen block index or on which parent cone produced it; both are
+    asserted.
     """
     if fan is None:
         fan = default_fan(data)
@@ -179,8 +144,6 @@ def build_complex(data: ArrangementData, fan: Fan | None = None) -> Anticanonica
                 "fan cone is not generated by the matrix columns inside it"
             )
         tropical.classify_cone(trop, sigma)
-    if len(fan.maximal) > 1:
-        _check_leaf_covering(trop, fan)
 
     parents_of: dict[Cone, list[Cone]] = {}
     for sigma in fan.maximal:

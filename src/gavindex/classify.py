@@ -605,32 +605,17 @@ def fingerprint(candidate: Candidate) -> tuple:
     return (degs, candidate.index, rels, blocks, data.m)
 
 
-@dataclass(frozen=True)
-class DedupeResult:
-    """Fingerprint groups; the first member of each group represents it."""
-
-    groups: tuple[tuple[Candidate, ...], ...]
-
-    @property
-    def representatives(self) -> tuple[Candidate, ...]:
-        return tuple(g[0] for g in self.groups)
-
-    @property
-    def duplicates(self) -> tuple[Candidate, ...]:
-        return tuple(c for g in self.groups for c in g[1:])
-
-
-def dedupe(candidates: Sequence[Candidate]) -> DedupeResult:
+def dedupe(candidates: Sequence[Candidate]) -> tuple[tuple[Candidate, ...], ...]:
     """Group verified candidates by fingerprint, keeping every member.
 
     Grouping is a conservative stand-in for isomorphy testing: members
-    of one group are potential duplicates of the representative, and
+    of one group are potential duplicates of its first member, and
     they stay attached to the group rather than being dropped.
     """
     by_fp: dict[tuple, list[Candidate]] = {}
     for cand in sorted(candidates, key=lambda c: (c.setting, c.params)):
         by_fp.setdefault(fingerprint(cand), []).append(cand)
-    return DedupeResult(groups=tuple(tuple(g) for g in by_fp.values()))
+    return tuple(tuple(g) for g in by_fp.values())
 
 
 # ---------------------------------------------------------------------------
@@ -919,10 +904,6 @@ class ClassificationReport:
     settings: tuple[SettingReport, ...]
     groups: tuple[tuple[Candidate, ...], ...]
 
-    @property
-    def representatives(self) -> tuple[Candidate, ...]:
-        return tuple(g[0] for g in self.groups)
-
 
 def _verify_task(task: tuple[int, Params, int]) -> Verification:
     setting_id, values, index = task
@@ -974,5 +955,5 @@ def classify_index(
             )
         )
         all_accepted.extend(accepted)
-    groups = dedupe(all_accepted).groups
+    groups = dedupe(all_accepted)
     return ClassificationReport(index=index, settings=tuple(reports), groups=groups)

@@ -194,10 +194,18 @@ def _emit(report: dict, out: str | None) -> None:
 
 
 def _resolve_fan(data: ArrangementData, index_sets: IndexSets | None) -> Fan:
-    """The listed fan, or the ample fan of -K when the document has none."""
-    if index_sets is not None:
-        return check_fan(fan_from_index_sets(data, index_sets))
-    return default_fan(data)
+    """The listed fan, or the ample fan of -K when the document has none.
+
+    A listed fan must pass check_fan, and each of its cones must be a
+    leaf cone or a big cone, so every command admits the same fans.
+    """
+    if index_sets is None:
+        return default_fan(data)
+    fan = check_fan(fan_from_index_sets(data, index_sets))
+    trop = tropical.trop_structure(data.r, data.c, data.s)
+    for cone in fan.maximal:
+        tropical.classify_cone(trop, cone)
+    return fan
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +217,7 @@ def cmd_validate(args) -> tuple[int, dict]:
     violations = validate(data)
     if fan is not None and not violations:
         try:
-            check_fan(fan_from_index_sets(data, fan))
+            _resolve_fan(data, fan)
         except (ValueError, GavError) as exc:
             violations.append(f"fan: {exc}")
     report = {

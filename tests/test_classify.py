@@ -240,11 +240,10 @@ def test_dedupe_groups_keep_members():
         verify(4, (3, -1, 0, 2), 1).candidate,
         verify(4, (3, -3, 1, 5), 1).candidate,
     ]
-    result = dedupe(pool)
-    sizes = sorted(len(g) for g in result.groups)
-    assert sizes == [1, 1, 2]
-    assert len(result.representatives) == 3
-    assert len(result.duplicates) == 1
+    groups = dedupe(pool)
+    assert sorted(len(g) for g in groups) == [1, 1, 2]
+    # every candidate stays in exactly one group
+    assert sorted(c.params for g in groups for c in g) == sorted(c.params for c in pool)
 
 
 def test_classify_index_setting_five():

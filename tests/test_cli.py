@@ -413,6 +413,41 @@ def test_listed_fan_must_meet_in_faces(capsys, tmp_path, command):
         assert report == {"error": message}
 
 
+VERDICT_COMMANDS = (
+    ["validate"],
+    ["fan"],
+    ["acomplex"],
+    ["gorenstein"],
+    ["gorenstein", "--method", "complex"],
+    ["gorenstein", "--method", "cones"],
+)
+
+
+def test_listed_fan_gets_one_verdict_from_every_command(capsys, tmp_path):
+    # two of the three cones: leaf 0 is not covered, the index is 4
+    path = tmp_path / "noncovering.json"
+    path.write_text(json.dumps(dict(WORKED, fan=[[0, 2, 3], [1, 2, 3]])))
+    for command in VERDICT_COMMANDS:
+        code, report = run(capsys, *command, str(path))
+        assert code == 0, (command, report)
+        if command[0] == "validate":
+            assert report["valid"] is True
+        elif command[0] != "fan":
+            assert report["gorenstein_index"] == 4
+    # a cone on columns 0, 1, 3 is neither inside a leaf nor big
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(dict(WORKED, fan=[[0, 1, 3]])))
+    message = "cone is neither inside a leaf nor big"
+    for command in VERDICT_COMMANDS:
+        code, report = run(capsys, *command, str(path))
+        assert code == 1, (command, report)
+        if command[0] == "validate":
+            assert report["violations"] == [f"fan: {message}"]
+        else:
+            assert report["error"] == message
+            assert report["cone"]["rays"] == [[-2, -2, -1], [-1, -1, -2], [0, 3, 2]]
+
+
 def test_out_flag_writes_file_and_keeps_stdout_empty(tmp_path, capsys):
     src = tmp_path / "in.json"
     src.write_text(json.dumps(WORKED))
