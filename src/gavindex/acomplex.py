@@ -77,13 +77,15 @@ def _admissible_block_indices(data: ArrangementData, cone: Cone) -> list[int]:
     return [i for i in range(data.r + 1) if i not in blocked]
 
 
-def _support_for_index(data: ArrangementData, parent: Cone, i: int) -> tuple[IntVec, int]:
+def _support_for_index(
+    data: ArrangementData, parent: Cone, i: int, inside: Sequence[int]
+) -> tuple[IntVec, int]:
     """Form u = w / q, q > 0, that is -1 on the truncation level for block index i.
 
-    The linear system runs over all matrix columns inside the parent.
+    The linear system runs over all matrix columns inside the parent,
+    whose indices the caller passes as inside.
     """
     cols = data.columns()
-    inside = columns_in(cols, parent)
     rows = [cols[j] for j in inside]
     rhs = []
     for j in inside:
@@ -127,28 +129,34 @@ def build_complex(data: ArrangementData, fan: Fan | None = None) -> Anticanonica
     be a leaf cone or a big cone.  The pieces are the maximal ones among
     the intersections of fan cones with the top leaves of the tropical
     variety; the fan need not cover those leaves, so a piece need not be
-    full dimensional.  The truncated cell of a piece must not depend on
-    the chosen block index or on which parent cone produced it; both are
+    full dimensional.  A leaf cone lies in a top leaf, so it is its own
+    piece and its other intersections lie inside it; only big cones are
+    intersected.  The truncated cell of a piece must not depend on the
+    chosen block index or on which parent cone produced it; both are
     asserted.
     """
     if fan is None:
         fan = default_fan(data)
     trop = tropical.trop_structure(data.r, data.c, data.s)
     cols = data.columns()
+    inside_of: dict[Cone, tuple[int, ...]] = {}
+    parents_of: dict[Cone, list[Cone]] = {}
     for sigma in fan.maximal:
-        generated = cone_from_generators(
-            [cols[j] for j in columns_in(cols, sigma)], ambient=data.ambient_dim
-        )
+        inside = inside_of[sigma] = columns_in(cols, sigma)
+        generated = cone_from_generators([cols[j] for j in inside], ambient=data.ambient_dim)
         if generated != sigma:
             raise ValueError(
                 "fan cone is not generated by the matrix columns inside it"
             )
-        tropical.classify_cone(trop, sigma)
-
-    parents_of: dict[Cone, list[Cone]] = {}
-    for sigma in fan.maximal:
-        for combo in itertools.combinations(range(trop.r + 1), trop.c):
-            parents = parents_of.setdefault(intersect(sigma, trop.leaf(combo)), [])
+        if tropical.classify_cone(trop, sigma).kind == "leaf":
+            pieces = [sigma]
+        else:
+            pieces = [
+                intersect(sigma, trop.leaf(combo))
+                for combo in itertools.combinations(range(trop.r + 1), trop.c)
+            ]
+        for piece in pieces:
+            parents = parents_of.setdefault(piece, [])
             if sigma not in parents:
                 parents.append(sigma)
     maximal = maximal_cones(parents_of)
@@ -168,7 +176,9 @@ def build_complex(data: ArrangementData, fan: Fan | None = None) -> Anticanonica
             for i in admissible:
                 form = forms.get((parent, i))
                 if form is None:
-                    form = forms[parent, i] = _support_for_index(data, parent, i)
+                    form = forms[parent, i] = _support_for_index(
+                        data, parent, i, inside_of[parent]
+                    )
                 w, q = form
                 if cell is None:
                     w0, q0 = w, q

@@ -297,12 +297,20 @@ def contains_cone(outer: Cone, inner: Cone) -> bool:
 
 
 def maximal_cones(cones: Iterable[Cone]) -> list[Cone]:
-    """The distinct cones not inside another one, in order of first appearance."""
+    """The distinct cones not inside another one, in order of first appearance.
+
+    A cone d that holds c holds its relative interior point, so that one
+    point is tested first; it only prefilters the full generator test,
+    and the result is exact for any cones, fan or not.
+    """
     unique = list(dict.fromkeys(cones))
     return [
         c
-        for c in unique
-        if not any(d.dim >= c.dim and d != c and contains_cone(d, c) for d in unique)
+        for c, p in zip(unique, map(relative_interior_point, unique))
+        if not any(
+            d.dim >= c.dim and d != c and d.contains(p) and contains_cone(d, c)
+            for d in unique
+        )
     ]
 
 

@@ -10,7 +10,7 @@ leaves.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Sequence
 
@@ -29,11 +29,15 @@ from .polyhedra import (
 
 @dataclass(frozen=True)
 class TropStructure:
+    """The leaves in Q^(r+s), and the heads cone(e_I), |I| = c, of the top leaves in Q^r."""
+
     r: int
     c: int
     s: int
-    leaves: tuple[tuple[frozenset, Cone], ...]
-    lineality_cone: Cone
+    # determined by r, c and s, so left out of equality and hashing
+    leaves: tuple[tuple[frozenset, Cone], ...] = field(compare=False)
+    lineality_cone: Cone = field(compare=False)
+    heads: tuple[Cone, ...] = field(compare=False)
 
     @property
     def ambient(self) -> int:
@@ -74,7 +78,13 @@ def trop_structure(r: int, c: int, s: int) -> TropStructure:
                 )
             )
     lineality_cone = cone_from_generators((), lineality=lin, ambient=ambient)
-    return TropStructure(r=r, c=c, s=s, leaves=tuple(leaves), lineality_cone=lineality_cone)
+    heads = tuple(
+        cone_from_generators([_direction(r, 0, i) for i in combo], ambient=r)
+        for combo in itertools.combinations(range(r + 1), c)
+    )
+    return TropStructure(
+        r=r, c=c, s=s, leaves=tuple(leaves), lineality_cone=lineality_cone, heads=heads
+    )
 
 
 def minimal_indices(trop: TropStructure, x: Sequence) -> frozenset:
@@ -109,16 +119,12 @@ class ConeKind:
     elementary: bool | None
 
 
-@lru_cache(maxsize=1 << 16)
-def _meets_relint(cone: Cone, other: Cone) -> bool:
-    """Whether other intersects the relative interior of cone.
-
-    One relative interior point of the intersection decides this: a
-    convex subset meeting the relative interior has its own relative
-    interior inside it.
-    """
-    common = intersect(cone, other)
-    return cone.relint_contains(relative_interior_point(common))
+def _head(trop: TropStructure, cone: Cone) -> Cone:
+    """The image of the cone under the projection that drops the last s coordinates."""
+    r = trop.r
+    return cone_from_generators(
+        [g[:r] for g in cone.rays], lineality=[v[:r] for v in cone.lineality], ambient=r
+    )
 
 
 @lru_cache(maxsize=1 << 15)
@@ -128,14 +134,25 @@ def classify_cone(trop: TropStructure, cone: Cone) -> ConeKind:
     Leaf: contained in a single leaf. Big: its relative interior meets
     every ray direction's leaf. Elementary big cones in addition have
     exactly one extreme ray inside the leaf of {i} for every i.
+
+    The big test runs in Q^r.  Every leaf contains the lineality space
+    L of the last s coordinates, so with pi the projection that drops
+    them, the leaf of {i} is the preimage of the ray of e_i.  A linear
+    image of a relative interior is the relative interior of the image
+    (Rockafellar, Convex Analysis, 1970, Theorem 6.6), so relint cone
+    meets that leaf exactly when relint pi(cone) meets the ray.  Since a
+    relative interior is closed under positive scaling, this holds
+    exactly when pi(cone) holds e_i or the origin in its relative
+    interior, the latter when pi(cone) is a linear subspace.
     """
     if cone.ambient != trop.ambient:
         raise ValueError("cone lives in the wrong ambient space")
     indices = indices_of_cone(trop, cone)
     if len(indices) <= trop.c:
         return ConeKind(kind="leaf", leaf_indices=indices, elementary=None)
-    if all(
-        _meets_relint(cone, trop.leaf([i])) for i in range(trop.r + 1)
+    head = _head(trop, cone)
+    if not head.normals or all(
+        head.relint_contains(_direction(trop.r, 0, i)) for i in range(trop.r + 1)
     ):
         elementary = all(
             sum(
@@ -153,11 +170,20 @@ def classify_cone(trop: TropStructure, cone: Cone) -> ConeKind:
 
 
 def relint_meets_trop(trop: TropStructure, cone: Cone) -> bool:
-    """Whether the relative interior of the cone meets the tropical support."""
-    for size_c in itertools.combinations(range(trop.r + 1), trop.c):
-        if _meets_relint(cone, trop.leaf(size_c)):
-            return True
-    return False
+    """Whether the relative interior of the cone meets the tropical support.
+
+    By the projection argument of classify_cone (Rockafellar, Convex
+    Analysis, 1970, Theorem 6.6), relint cone meets the top leaf
+    cone(e_I) + L exactly when relint pi(cone) meets cone(e_I), a
+    question in Q^r.  One relative interior point of the intersection
+    decides it: a convex subset meeting a relative interior has its
+    own relative interior inside it.
+    """
+    head = _head(trop, cone)
+    return any(
+        head.relint_contains(relative_interior_point(intersect(head, leaf_head)))
+        for leaf_head in trop.heads
+    )
 
 
 def prune_to_minimal(trop: TropStructure, fan: Fan) -> Fan:

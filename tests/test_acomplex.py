@@ -30,7 +30,7 @@ from gavindex.errors import (
     NotQGorensteinOnCone,
 )
 from gavindex.gav_core import fan_from_index_sets, is_fano, make_data, validate
-from gavindex.polyhedra import cone_from_generators, make_fan
+from gavindex.polyhedra import columns_in, cone_from_generators, make_fan
 
 V01 = (-2, -2, -1)
 V02 = (-1, -1, -2)
@@ -86,9 +86,12 @@ def test_support_function_on_worked_pieces(worked):
     # V01 and V02 (SIGMA3) hold a block-0 column, the piece spanned by
     # V11 and (0, 0, -1) only a block-1 column
     # a form u = w / q is held as the integers (w, q)
-    assert _support_for_index(worked, SIGMA1, 1) == ((3, 0, -2), 4)
-    assert _support_for_index(worked, SIGMA2, 0) == ((-1, -1, 1), 1)
-    assert _support_for_index(worked, SIGMA3, 1) == ((1, 0, 1), 3)
+    def support(parent, i):
+        return _support_for_index(worked, parent, i, columns_in(worked.columns(), parent))
+
+    assert support(SIGMA1, 1) == ((3, 0, -2), 4)
+    assert support(SIGMA2, 0) == ((-1, -1, 1), 1)
+    assert support(SIGMA3, 1) == ((1, 0, 1), 3)
 
 
 def test_support_function_detects_inconsistency():
@@ -98,7 +101,7 @@ def test_support_function_detects_inconsistency():
     assert data.columns() == ((-1, -1), (1, 1))
     line = cone_from_generators([(-1, -1), (1, 1)])
     with pytest.raises(NotQGorensteinOnCone) as info:
-        _support_for_index(data, line, 0)
+        _support_for_index(data, line, 0, (0, 1))
     assert info.value.cone == line
 
 

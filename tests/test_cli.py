@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import copy
+import hashlib
 import json
 import pathlib
 import random
@@ -177,8 +178,8 @@ def test_cell_independence_check_stays_live(capsys, monkeypatch, worked_file, wo
     # halving the form of the last block index moves every cell it cuts
     real = acomplex._support_for_index
 
-    def perturbed(data, parent, i):
-        w, q = real(data, parent, i)
+    def perturbed(data, parent, i, inside):
+        w, q = real(data, parent, i, inside)
         return (w, 2 * q) if i == data.r else (w, q)
 
     monkeypatch.setattr(acomplex, "_support_for_index", perturbed)
@@ -290,6 +291,73 @@ def test_wide_document_whose_columns_do_not_generate(capsys):
     code, report = run(capsys, "gorenstein", str(DATA / "not-generating-16-columns.json"))
     assert code == 2
     assert report == {"error": NOT_GENERATING}
+
+
+# Reports of the four documents in tests/data and the README document,
+# recorded before cone relations were decided by projection and by one
+# relative-interior point; the change must leave them byte for byte.
+# fan and acomplex reports are pinned by the sha256 of stdout, since the
+# acomplex report of the 16-column document is 560 KB.
+I12 = 126649236783073456977475772682408937045909707014757401904348178530000
+I16 = 1365283729701982218420904084833830276799747453055153985372926771641922480071740934159372000
+NOT_GENERATING_REPORT = (2, {"error": NOT_GENERATING})
+PINNED_REPORTS = {
+    ("fano-12-columns", "gorenstein"): (0, {
+        "command": "gorenstein", "gorenstein_index": I12, "method": "both",
+        "via_complex": I12, "via_cones": I12}),
+    ("fano-12-columns", "gorenstein --method cones"): (0, {
+        "command": "gorenstein", "gorenstein_index": I12, "method": "cones", "via_cones": I12}),
+    ("fano-16-columns", "gorenstein"): (0, {
+        "command": "gorenstein", "gorenstein_index": I16, "method": "both",
+        "via_complex": I16, "via_cones": I16}),
+    ("fano-16-columns", "gorenstein --method cones"): (0, {
+        "command": "gorenstein", "gorenstein_index": I16, "method": "cones", "via_cones": I16}),
+    ("not-generating-16-columns", "gorenstein"): NOT_GENERATING_REPORT,
+    ("not-generating-16-columns", "gorenstein --method cones"): NOT_GENERATING_REPORT,
+    ("projective-20-space", "gorenstein"): (0, {
+        "command": "gorenstein", "gorenstein_index": 1, "method": "both",
+        "via_complex": 1, "via_cones": 1}),
+    ("projective-20-space", "gorenstein --method cones"): (0, {
+        "command": "gorenstein", "gorenstein_index": 1, "method": "cones", "via_cones": 1}),
+    ("README", "gorenstein"): (0, {
+        "command": "gorenstein", "gorenstein_index": 12, "method": "both",
+        "via_complex": 12, "via_cones": 12}),
+    ("README", "gorenstein --method cones"): (0, {
+        "command": "gorenstein", "gorenstein_index": 12, "method": "cones", "via_cones": 12}),
+}
+NOT_GENERATING_SHA256 = (2, "11a7ca5e9172405640061f82e8cd491c1cb1c2d7a0a809fff48061ff68effd18")
+PINNED_SHA256 = {
+    ("fano-12-columns", "fan"): (0, "725e001a76cd78c5ccd6e683b703789fa4f0aa17fccad4f3e587502387ad7bdb"),
+    ("fano-12-columns", "acomplex"): (0, "5c54e34d60eba6e372c117df5fde226bc7cf09efd13798d4b0a40f145816a460"),
+    ("fano-16-columns", "fan"): (0, "deeab90b4d093af182608dae582bbecbef7dcb9985a0ccb4d9692692c5464e68"),
+    ("fano-16-columns", "acomplex"): (0, "2fd5bd37134d622a096e352257be5405efad155d889b9e410418ea3c4b5ffceb"),
+    ("not-generating-16-columns", "fan"): NOT_GENERATING_SHA256,
+    ("not-generating-16-columns", "acomplex"): NOT_GENERATING_SHA256,
+    ("projective-20-space", "fan"): (0, "8f99b6a865f2958150c5b5374683a656408cd86f1a91cffa51f33480b210ba8e"),
+    ("projective-20-space", "acomplex"): (0, "b73f9de34d59dc1f64021019a7321f1427adf7f9105a5d5035055394733cf6ef"),
+    ("README", "fan"): (0, "79212f93cb7bbea1129892665216888e463b51099d3ae5896b1a5dee3f7409c9"),
+    ("README", "acomplex"): (0, "580eb104519d858f2fe2b852ae0e391aa38cdd124cb770c9c285c0c0d1d1e178"),
+}
+
+
+def test_reports_of_pinned_documents_stay_byte_identical(capsys, tmp_path):
+    readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    # the first JSON block of the README is its input document
+    readme_doc = tmp_path / "README.json"
+    readme_doc.write_text(readme.split("```json\n", 1)[1].split("```", 1)[0])
+    paths = {name: DATA / f"{name}.json" for name, _ in PINNED_REPORTS}
+    paths["README"] = readme_doc
+
+    def report(name, command):
+        code = cli.main(command.split() + [str(paths[name])])
+        return code, capsys.readouterr().out
+
+    for (name, command), (code, want) in PINNED_REPORTS.items():
+        text = json.dumps(want, indent=2, sort_keys=True) + "\n"
+        assert report(name, command) == (code, text), (name, command)
+    for (name, command), (code, want) in PINNED_SHA256.items():
+        got, out = report(name, command)
+        assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, want), (name, command)
 
 
 def test_ample_fan_search_budget(capsys, monkeypatch, tmp_path):

@@ -821,3 +821,42 @@ def test_maximal_cones_drop_cones_inside_others_of_any_dimension():
     ray = cone_from_generators([(0, 1)])
     cones = [wedge, ray, quadrant, other, wedge, cone_from_generators([(-1, -1)])]
     assert maximal_cones(cones) == [quadrant, other]
+
+
+def _ref_maximal_cones(cones):
+    """The distinct cones not inside another one, by the full pairwise generator test."""
+    unique = list(dict.fromkeys(cones))
+    return [c for c in unique if not any(d != c and contains_cone(d, c) for d in unique)]
+
+
+def test_maximal_cones_against_pairwise_containment():
+    rng = random.Random(17)
+    kinds = {"nested_equal_dim": 0, "face": 0, "lineality": 0, "dropped": 0}
+    for _ in range(150):
+        d = rng.randint(2, 4)
+        cones = []
+        for _ in range(rng.randint(1, 5)):
+            gens = [tuple(rng.randint(-2, 2) for _ in range(d)) for _ in range(rng.randint(0, d + 1))]
+            lines = [tuple(rng.randint(-1, 1) for _ in range(d)) for _ in range(rng.choice((0, 0, 1)))]
+            cone = cone_from_generators(gens, lineality=lines, ambient=d)
+            cones.append(cone)
+            kinds["lineality"] += bool(cone.lineality)
+            roll = rng.random()
+            if roll < 0.3:
+                # a cone of the same dimension inside it: not a fan
+                p = relative_interior_point(cone)
+                inner = cone_from_generators(
+                    [tuple(x + y for x, y in zip(g, p)) for g in cone.rays],
+                    lineality=cone.lineality,
+                    ambient=d,
+                )
+                kinds["nested_equal_dim"] += inner != cone and inner.dim == cone.dim
+                cones.append(inner)
+            elif roll < 0.6 and cone.normals:
+                cones.append(rng.choice(facets(cone)))
+                kinds["face"] += 1
+        rng.shuffle(cones)
+        want = _ref_maximal_cones(cones)
+        kinds["dropped"] += len(want) < len(set(cones))
+        assert maximal_cones(cones) == want
+    assert min(kinds.values()) >= 20, kinds

@@ -5,13 +5,20 @@ structure for r = 2, c = 1, s = 1 has three leaves, each a half-plane
 with lineality along the third coordinate.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from gavindex.errors import MalformedFanCone
-from gavindex.polyhedra import cone_from_generators, make_fan, zero_cone
+from gavindex.polyhedra import (
+    cone_from_generators,
+    intersect,
+    make_fan,
+    relative_interior_point,
+    zero_cone,
+)
 from gavindex.tropical import (
     classify_cone,
     indices_of_cone,
@@ -168,3 +175,74 @@ def test_lineality_reports(trop, check_big_cone_lineality):
         assert report.slice_dim == 1
         assert report.expected_dim == 1
         assert report.full
+
+
+def _ref_meets_relint(cone, other):
+    """Whether other meets relint cone, by one double description in Q^(r+s)."""
+    return cone.relint_contains(relative_interior_point(intersect(cone, other)))
+
+
+def _ref_kind(trop, cone):
+    """classify_cone's verdict by intersecting the cone with every leaf of size one."""
+    if len(indices_of_cone(trop, cone)) <= trop.c:
+        return "leaf"
+    if all(_ref_meets_relint(cone, trop.leaf([i])) for i in range(trop.r + 1)):
+        return "big"
+    return "malformed"
+
+
+def _random_cone(rng, r, s, kinds):
+    """A random cone in Q^(r+s), often of lower dimension or with lineality."""
+    ambient = r + s
+    e = [tuple(-1 for _ in range(r)) + (0,) * s] + [
+        tuple(int(k == i) for k in range(ambient)) for i in range(r)
+    ]
+
+    def vector():
+        if rng.random() < 0.4:
+            # a leaf direction plus a tail in the lineality space
+            return rng.choice(e)[:r] + tuple(rng.randint(-2, 2) for _ in range(s))
+        return tuple(rng.randint(-2, 2) for _ in range(ambient))
+
+    gens = [vector() for _ in range(rng.randint(0, ambient + 1))]
+    lines = [vector() for _ in range(rng.choice((0, 0, 0, 1, 2)))]
+    if r > 1 and rng.random() < 0.2:
+        # heads g and -g with independent tails: the projection holds a line
+        g = vector()
+        gens += [g, tuple(-x for x in g[:r]) + tuple(rng.randint(-2, 2) for _ in range(s))]
+    cone = cone_from_generators(gens, lineality=lines, ambient=ambient)
+    head = cone_from_generators(
+        [g[:r] for g in cone.rays], lineality=[v[:r] for v in cone.lineality], ambient=r
+    )
+    kinds["lower_dim"] += cone.dim < ambient
+    kinds["lineality"] += bool(cone.lineality)
+    kinds["head_subspace"] += not head.normals
+    return cone
+
+
+def test_projection_verdicts_match_leaf_intersections():
+    rng = random.Random(16)
+    kinds = dict.fromkeys(
+        ("lower_dim", "lineality", "head_subspace", "leaf", "big", "malformed", "meets", "misses"),
+        0,
+    )
+    for r in (1, 2, 3):
+        for c in range(1, r + 1):
+            for s in (0, 1, 2):
+                trop = trop_structure(r, c, s)
+                for _ in range(30):
+                    cone = _random_cone(rng, r, s, kinds)
+                    want = _ref_kind(trop, cone)
+                    kinds[want] += 1
+                    if want == "malformed":
+                        with pytest.raises(MalformedFanCone):
+                            classify_cone(trop, cone)
+                    else:
+                        assert classify_cone(trop, cone).kind == want
+                    meets = any(
+                        _ref_meets_relint(cone, trop.leaf(combo))
+                        for combo in itertools.combinations(range(r + 1), c)
+                    )
+                    kinds["meets" if meets else "misses"] += 1
+                    assert relint_meets_trop(trop, cone) == meets
+    assert min(kinds.values()) >= 40, kinds
