@@ -67,13 +67,15 @@ def default_fan(data: ArrangementData) -> Fan:
     return fan
 
 
-def _admissible_block_indices(data: ArrangementData, cone: Cone) -> list[int]:
-    """Block indices without a column of their block inside the cone."""
-    blocked = set()
-    for j in columns_in(data.columns(), cone):
-        block = data.block_of_column(j)
-        if block is not None:
-            blocked.add(block)
+def _admissible_block_indices(
+    data: ArrangementData, piece: Cone, inside: Sequence[int]
+) -> list[int]:
+    """Block indices without a column of their block inside the piece.
+
+    The piece lies in a parent cone, whose column indices the caller
+    passes as inside; no other column can lie in the piece.
+    """
+    blocked = {data.column_blocks[j] for j in inside if piece.contains(data.columns[j])}
     return [i for i in range(data.r + 1) if i not in blocked]
 
 
@@ -85,14 +87,11 @@ def _support_for_index(
     The linear system runs over all matrix columns inside the parent,
     whose indices the caller passes as inside.
     """
-    cols = data.columns()
-    rows = [cols[j] for j in inside]
-    rhs = []
-    for j in inside:
-        if data.block_of_column(j) == i:
-            rhs.append((data.r - data.c) * data.l_of_column(j) - 1)
-        else:
-            rhs.append(-1)
+    rows = [data.columns[j] for j in inside]
+    rhs = [
+        (data.r - data.c) * data.column_exponents[j] - 1 if data.column_blocks[j] == i else -1
+        for j in inside
+    ]
     u = solve_rational(rows, rhs)
     if u is None:
         raise NotQGorensteinOnCone(
@@ -138,7 +137,7 @@ def build_complex(data: ArrangementData, fan: Fan | None = None) -> Anticanonica
     if fan is None:
         fan = default_fan(data)
     trop = tropical.trop_structure(data.r, data.c, data.s)
-    cols = data.columns()
+    cols = data.columns
     inside_of: dict[Cone, tuple[int, ...]] = {}
     parents_of: dict[Cone, list[Cone]] = {}
     for sigma in fan.maximal:
@@ -168,7 +167,7 @@ def build_complex(data: ArrangementData, fan: Fan | None = None) -> Anticanonica
         kind = tropical.classify_cone(trop, piece)
         if kind.kind != "leaf":
             raise AssertionError("piece of the subdivision is not a leaf cone")
-        admissible = _admissible_block_indices(data, piece)
+        admissible = _admissible_block_indices(data, piece, inside_of[parents_of[piece][0]])
         # forms with equal values on these generators agree on the piece
         gens = piece.rays + piece.lineality
         cell: Cell | None = None
@@ -272,12 +271,12 @@ def cone_multiplier(data: ArrangementData, cone: Cone) -> int:
 
     Computed for every block index; the results must agree.
     """
-    cols = data.columns()
+    cols = data.columns
     inside = columns_in(cols, cone)
     rhs = [
         tuple(
-            (data.r - data.c) * data.l_of_column(j) - 1
-            if data.block_of_column(j) == i
+            (data.r - data.c) * data.column_exponents[j] - 1
+            if data.column_blocks[j] == i
             else -1
             for j in inside
         )

@@ -56,7 +56,12 @@ Params = tuple[int, ...]
 
 @dataclass(frozen=True)
 class SettingSpec:
-    """Matrix template with free integer parameters and its listed fan."""
+    """Matrix template with free integer parameters and its listed fan.
+
+    enumerate lists the tuples of an index that pass the finiteness
+    bounds, and box(index, bound) the tuples of the box scan that pass
+    its multiplier filter; neither is verified yet.
+    """
 
     id: int
     param_names: tuple[str, ...]
@@ -64,6 +69,8 @@ class SettingSpec:
     satisfied: Callable[[Params], bool]
     index_sets: Callable[[Params], tuple[tuple[int, ...], ...]]
     leaf_cones: int
+    enumerate: Callable[[int], set[Params]]
+    box: Callable[[int, int], list[Params]]
 
 
 def _data_s1(v: Params) -> ArrangementData:
@@ -81,16 +88,6 @@ def _data_s2(v: Params) -> ArrangementData:
     return make_data(
         r=2, c=1, n=(1, 2, 2), m=0,
         l=((2,), (1, 1), (l21, l22)),
-        A=_A,
-        D=((-1, 0, 1, 0, 0), (d01, 0, 0, d21, d22)),
-    )
-
-
-def _data_s34(v: Params) -> ArrangementData:
-    l22, d01, d21, d22 = v
-    return make_data(
-        r=2, c=1, n=(1, 2, 2), m=0,
-        l=((2,), (1, 1), (1, l22)),
         A=_A,
         D=((-1, 0, 1, 0, 0), (d01, 0, 0, d21, d22)),
     )
@@ -146,50 +143,6 @@ def _cones_s4(v: Params) -> tuple[tuple[int, ...], ...]:
     if 2 * d21 + d01 != 0:
         return base + ((0, 1, 2, 3),)
     return base
-
-
-SETTINGS: dict[int, SettingSpec] = {
-    1: SettingSpec(
-        id=1,
-        param_names=("l21", "d12", "d21"),
-        build=_data_s1,
-        satisfied=_ineq_s1,
-        index_sets=lambda v: ((0, 1, 2, 4), (0, 1, 3, 4), (0, 2, 3, 4), (1, 2, 3, 4)),
-        leaf_cones=0,
-    ),
-    2: SettingSpec(
-        id=2,
-        param_names=("l21", "l22", "d01", "d21", "d22"),
-        build=_data_s2,
-        satisfied=_ineq_s2,
-        index_sets=lambda v: ((0, 1, 2, 3), (0, 1, 2, 4), (0, 1, 3, 4), (0, 2, 3, 4)),
-        leaf_cones=0,
-    ),
-    3: SettingSpec(
-        id=3,
-        param_names=("l22", "d01", "d21", "d22"),
-        build=_data_s34,
-        satisfied=_ineq_s3,
-        index_sets=lambda v: ((0, 1, 2, 3), (0, 1, 2, 4), (0, 1, 3, 4), (0, 2, 3, 4)),
-        leaf_cones=0,
-    ),
-    4: SettingSpec(
-        id=4,
-        param_names=("l22", "d01", "d21", "d22"),
-        build=_data_s34,
-        satisfied=_ineq_s4,
-        index_sets=_cones_s4,
-        leaf_cones=0,
-    ),
-    5: SettingSpec(
-        id=5,
-        param_names=("l21", "d21"),
-        build=_data_s5,
-        satisfied=_ineq_s5,
-        index_sets=lambda v: ((0, 1, 3, 4), (0, 2, 3, 4), (0, 1, 2, 3), (1, 2, 4)),
-        leaf_cones=1,
-    ),
-}
 
 
 def _setting(setting_id: int) -> SettingSpec:
@@ -524,15 +477,6 @@ def _enumerate_s5(iota: int) -> set[Params]:
     return out
 
 
-_ENUMERATORS: dict[int, Callable[[int], set[Params]]] = {
-    1: _enumerate_s1,
-    2: _enumerate_s2,
-    3: _enumerate_s3,
-    4: _enumerate_s4,
-    5: _enumerate_s5,
-}
-
-
 def enumerate_setting(setting_id: int, index: int) -> tuple[Params, ...]:
     """All parameter tuples passing the setting's necessary conditions.
 
@@ -544,7 +488,7 @@ def enumerate_setting(setting_id: int, index: int) -> tuple[Params, ...]:
     if index < 1:
         raise ValueError("index must be a positive integer")
     spec = _setting(setting_id)
-    raw = _ENUMERATORS[setting_id](index)
+    raw = spec.enumerate(index)
     return tuple(sorted(t for t in raw if spec.satisfied(t)))
 
 
@@ -873,17 +817,69 @@ def brute_force_box(setting_id: int, index: int, bound: int) -> tuple[Params, ..
     if index < 1:
         raise ValueError("index must be a positive integer")
     spec = _setting(setting_id)
-    if spec.id == 1:
-        raw = _box_s1(index, bound)
-    elif spec.id == 2:
-        raw = _box_s2(index, bound)
-    elif spec.id in (3, 4):
-        raw = _box_s34(spec.id, index, bound)
-    else:
-        raw = _box_s5(index, bound)
+    raw = spec.box(index, bound)
     return tuple(
         sorted(v for v in raw if _box_survivor_accepted(spec.id, v, index))
     )
+
+
+# ---------------------------------------------------------------------------
+# the setting table
+
+
+SETTINGS: dict[int, SettingSpec] = {
+    1: SettingSpec(
+        id=1,
+        param_names=("l21", "d12", "d21"),
+        build=_data_s1,
+        satisfied=_ineq_s1,
+        index_sets=lambda v: ((0, 1, 2, 4), (0, 1, 3, 4), (0, 2, 3, 4), (1, 2, 3, 4)),
+        leaf_cones=0,
+        enumerate=_enumerate_s1,
+        box=_box_s1,
+    ),
+    2: SettingSpec(
+        id=2,
+        param_names=("l21", "l22", "d01", "d21", "d22"),
+        build=_data_s2,
+        satisfied=_ineq_s2,
+        index_sets=lambda v: ((0, 1, 2, 3), (0, 1, 2, 4), (0, 1, 3, 4), (0, 2, 3, 4)),
+        leaf_cones=0,
+        enumerate=_enumerate_s2,
+        box=_box_s2,
+    ),
+    # settings 3 and 4 take setting 2's matrix with l21 = 1
+    3: SettingSpec(
+        id=3,
+        param_names=("l22", "d01", "d21", "d22"),
+        build=lambda v: _data_s2((1, *v)),
+        satisfied=_ineq_s3,
+        index_sets=lambda v: ((0, 1, 2, 3), (0, 1, 2, 4), (0, 1, 3, 4), (0, 2, 3, 4)),
+        leaf_cones=0,
+        enumerate=_enumerate_s3,
+        box=lambda iota, bound: _box_s34(3, iota, bound),
+    ),
+    4: SettingSpec(
+        id=4,
+        param_names=("l22", "d01", "d21", "d22"),
+        build=lambda v: _data_s2((1, *v)),
+        satisfied=_ineq_s4,
+        index_sets=_cones_s4,
+        leaf_cones=0,
+        enumerate=_enumerate_s4,
+        box=lambda iota, bound: _box_s34(4, iota, bound),
+    ),
+    5: SettingSpec(
+        id=5,
+        param_names=("l21", "d21"),
+        build=_data_s5,
+        satisfied=_ineq_s5,
+        index_sets=lambda v: ((0, 1, 3, 4), (0, 2, 3, 4), (0, 1, 2, 3), (1, 2, 4)),
+        leaf_cones=1,
+        enumerate=_enumerate_s5,
+        box=_box_s5,
+    ),
+}
 
 
 # ---------------------------------------------------------------------------

@@ -273,7 +273,7 @@ def cmd_fan(args) -> tuple[int, dict]:
         "command": "fan",
         "ambient": fan.ambient,
         "source": "listed" if listed is not None else "anticanonical",
-        "rays": _plain(data.columns()),
+        "rays": _plain(data.columns),
         "maximal_cones": cones,
     }
     return EXIT_OK, report

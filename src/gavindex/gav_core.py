@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
@@ -33,7 +33,7 @@ from .polyhedra import (
     Fan,
     columns_in,
     cone_from_generators,
-    intersect,
+    cone_from_inequalities,
     is_complete,
     make_fan,
     maximal_cones,
@@ -51,6 +51,26 @@ class ArrangementData:
     l: tuple[tuple[int, ...], ...]
     A: tuple[tuple[Rat, ...], ...]
     D: IntMat
+    # derived from n, m, l and D in __post_init__, so left out of
+    # equality, hashing and repr
+    p: IntMat = field(init=False, repr=False, compare=False)
+    columns: IntMat = field(init=False, repr=False, compare=False)
+    # per column: its block index and exponent, None for the m extra columns
+    column_blocks: tuple[int | None, ...] = field(init=False, repr=False, compare=False)
+    column_exponents: tuple[int | None, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        blocks = tuple([i for i, size in enumerate(self.n) for _ in range(size)] + [None] * self.m)
+        exponents = tuple([x for li in self.l for x in li] + [None] * self.m)
+        p0 = tuple([
+            tuple([-e if b == 0 else e if b == i else 0 for b, e in zip(blocks, exponents)])
+            for i in range(1, self.r + 1)
+        ])
+        p = p0 + self.D
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "columns", transpose(p))
+        object.__setattr__(self, "column_blocks", blocks)
+        object.__setattr__(self, "column_exponents", exponents)
 
     @property
     def n_total(self) -> int:
@@ -64,52 +84,12 @@ class ArrangementData:
     def ambient_dim(self) -> int:
         return self.r + self.s
 
-    @property
-    def p0(self) -> IntMat:
-        rows = []
-        for i in range(1, self.r + 1):
-            row: list[int] = []
-            for block, size in enumerate(self.n):
-                if block == 0:
-                    row.extend(-x for x in self.l[0])
-                elif block == i:
-                    row.extend(self.l[i])
-                else:
-                    row.extend(0 for _ in range(size))
-            row.extend(0 for _ in range(self.m))
-            rows.append(tuple(row))
-        return tuple(rows)
-
-    @property
-    def p(self) -> IntMat:
-        return self.p0 + self.D
-
-    def columns(self) -> IntMat:
-        return transpose(self.p)
-
     def column_labels(self) -> tuple[str, ...]:
         labels = []
         for i, size in enumerate(self.n):
             labels.extend(f"v{i}{j}" for j in range(1, size + 1))
         labels.extend(f"v{k}" for k in range(1, self.m + 1))
         return tuple(labels)
-
-    def block_of_column(self, col: int) -> int | None:
-        """Block index of a column, or None for the m extra columns."""
-        offset = 0
-        for i, size in enumerate(self.n):
-            if col < offset + size:
-                return i
-            offset += size
-        return None
-
-    def l_of_column(self, col: int) -> int | None:
-        offset = 0
-        for i, size in enumerate(self.n):
-            if col < offset + size:
-                return self.l[i][col - offset]
-            offset += size
-        return None
 
 
 def make_data(
@@ -167,7 +147,7 @@ def validate(data: ArrangementData) -> list[str]:
                 f"columns {list(combo)} of A are linearly dependent"
             )
             break
-    cols = data.columns()
+    cols = data.columns
     if len(set(cols)) != len(cols):
         violations.append("columns of P must be pairwise different")
     for idx, col in enumerate(cols):
@@ -288,14 +268,11 @@ def degree_map(data: ArrangementData) -> DegreeData:
         tuple(1 if k == j else 0 for k in range(nrows)) for j in range(nrows)
     )
     degrees = tuple(dd.element_of(e) for e in basis)
-    mus = []
-    offset = 0
-    for i, size in enumerate(data.n):
-        x = [0] * nrows
-        for j in range(size):
-            x[offset + j] = data.l[i][j]
-        mus.append(dd.element_of(tuple(x)))
-        offset += size
+    facts = tuple(zip(data.column_blocks, data.column_exponents))
+    mus = [
+        dd.element_of(tuple(e if b == i else 0 for b, e in facts))
+        for i in range(data.r + 1)
+    ]
     if any(mu != mus[0] for mu in mus):
         raise AssertionError("monomial degrees differ across blocks")
     return DegreeData(
@@ -321,12 +298,13 @@ def anticanonical_class(data: ArrangementData) -> KElement:
 def moving_cone(data: ArrangementData) -> Cone:
     """Intersection over the orthant's facets of the degree images.
 
-    Lives in the free part of the grading group.  The columns of P must
-    generate the ambient space as a cone, which is decided there too:
-    they do exactly when P has full row rank and some strictly positive
-    vector lies in its kernel, and by Gordan's alternative such a vector
-    exists exactly when the free degrees are nonzero and span a pointed
-    cone.
+    Lives in the free part of the grading group, and is built in one
+    call from the normals and equations of all the images.  The columns
+    of P must generate the ambient space as a cone, which is decided
+    there too: they do exactly when P has full row rank and some
+    strictly positive vector lies in its kernel, and by Gordan's
+    alternative such a vector exists exactly when the free degrees are
+    nonzero and span a pointed cone.
     """
     dd = degree_map(data)
     degrees = [w.free for w in dd.degrees]
@@ -338,13 +316,15 @@ def moving_cone(data: ArrangementData) -> Cone:
         raise NotQuasiprojectiveSetup(
             "columns of P must generate the ambient space as a cone"
         )
-    result: Cone | None = None
-    for drop in range(data.num_cols):
-        gens = degrees[:drop] + degrees[drop + 1 :]
-        facet_cone = cone_from_generators(gens, ambient=dd.free_rank)
-        result = facet_cone if result is None else intersect(result, facet_cone)
-    assert result is not None
-    return result
+    images = [
+        cone_from_generators(degrees[:drop] + degrees[drop + 1 :], ambient=dd.free_rank)
+        for drop in range(data.num_cols)
+    ]
+    return cone_from_inequalities(
+        [nu for image in images for nu in image.normals],
+        [e for image in images for e in image.equations],
+        ambient=dd.free_rank,
+    )
 
 
 def _free_part(u: KElement | Sequence[int]) -> tuple[int, ...]:
@@ -375,7 +355,7 @@ def _sigma_u(data: ArrangementData, u_free: tuple[int, ...]) -> Fan:
     if tested > FACE_BUDGET:
         raise ValueError(f"face enumeration over {tested} subsets refused (budget {FACE_BUDGET})")
     dd = degree_map(data)
-    cols = data.columns()
+    cols = data.columns
     cones = []
     for size in range(1, k + 1):
         for gamma0 in itertools.combinations(range(n), size):
@@ -406,7 +386,7 @@ def _ample_fan(data: ArrangementData, u_free: tuple[int, ...]) -> Fan | None:
         return None
     trop = tropical.trop_structure(data.r, data.c, data.s)
     pruned = tropical.prune_to_minimal(trop, raw)
-    return _with_column_info(pruned, data.columns())
+    return _with_column_info(pruned, data.columns)
 
 
 def fan_from_ample(data: ArrangementData, u: KElement | Sequence[int]) -> Fan:
@@ -439,7 +419,7 @@ def fan_from_index_sets(
     Checks that every index names a column, but not that the cones meet
     in common faces: that is check_fan's job.
     """
-    cols = data.columns()
+    cols = data.columns
     cones = []
     for idx_set in index_sets:
         for j in idx_set:

@@ -268,10 +268,6 @@ def _cone_from_constraints(nus: IntMat, eqs: IntMat, ambient: int) -> Cone:
     )
 
 
-def zero_cone(ambient: int) -> Cone:
-    return cone_from_generators((), ambient=ambient)
-
-
 def intersect(c1: Cone, c2: Cone) -> Cone:
     if c1.ambient != c2.ambient:
         raise ValueError("ambient dimension mismatch")

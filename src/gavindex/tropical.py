@@ -36,7 +36,6 @@ class TropStructure:
     s: int
     # determined by r, c and s, so left out of equality and hashing
     leaves: tuple[tuple[frozenset, Cone], ...] = field(compare=False)
-    lineality_cone: Cone = field(compare=False)
     heads: tuple[Cone, ...] = field(compare=False)
 
     @property
@@ -77,14 +76,11 @@ def trop_structure(r: int, c: int, s: int) -> TropStructure:
                     cone_from_generators(gens, lineality=lin, ambient=ambient),
                 )
             )
-    lineality_cone = cone_from_generators((), lineality=lin, ambient=ambient)
     heads = tuple(
         cone_from_generators([_direction(r, 0, i) for i in combo], ambient=r)
         for combo in itertools.combinations(range(r + 1), c)
     )
-    return TropStructure(
-        r=r, c=c, s=s, leaves=tuple(leaves), lineality_cone=lineality_cone, heads=heads
-    )
+    return TropStructure(r=r, c=c, s=s, leaves=tuple(leaves), heads=heads)
 
 
 def minimal_indices(trop: TropStructure, x: Sequence) -> frozenset:

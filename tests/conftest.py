@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from gavindex.gav_core import make_data
-from gavindex.polyhedra import intersect, relative_interior_point
+from gavindex.polyhedra import cone_from_generators, intersect, relative_interior_point
 
 
 @pytest.fixture
@@ -36,9 +36,20 @@ class LinealityReport:
         return self.slice_dim == self.expected_dim
 
 
+def _lineality_cone(trop):
+    """The common lineality space of the leaves: the last s coordinates."""
+    lin = [tuple(int(k == trop.r + j) for k in range(trop.ambient)) for j in range(trop.s)]
+    return cone_from_generators((), lineality=lin, ambient=trop.ambient)
+
+
+@pytest.fixture
+def lineality_cone():
+    return _lineality_cone
+
+
 def _check_big_cone_lineality(trop, cone) -> LinealityReport:
     """How a big cone intersects the common lineality space of the leaves."""
-    common = intersect(cone, trop.lineality_cone)
+    common = intersect(cone, _lineality_cone(trop))
     return LinealityReport(
         meets_relint=cone.relint_contains(relative_interior_point(common)),
         slice_dim=common.dim,

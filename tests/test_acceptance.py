@@ -145,7 +145,7 @@ def test_acceptance_1_worked_example(worked):
     )
     elapsed = time.perf_counter() - t0
 
-    columns = {tuple(Fraction(x) for x in col) for col in worked.columns()}
+    columns = {tuple(Fraction(x) for x in col) for col in worked.columns}
     extra = {
         (Fraction(0), Fraction(0), Fraction(2)),
         (Fraction(0), Fraction(0), Fraction(-1)),
@@ -190,15 +190,15 @@ def test_acceptance_3_block_choice_independence(oracle_instances):
     for data, fan, via_complex, _ in rows:
         if via_complex is None:
             continue
-        cols = data.columns()
+        cols = data.columns
         for cone in fan.maximal:
             inside = [j for j, col in enumerate(cols) if cone.contains(col)]
             mat = tuple(cols[j] for j in inside)
             per_index = []
             for i in range(data.r + 1):
                 rhs = tuple(
-                    (data.r - data.c) * data.l_of_column(j) - 1
-                    if data.block_of_column(j) == i
+                    (data.r - data.c) * data.column_exponents[j] - 1
+                    if data.column_blocks[j] == i
                     else -1
                     for j in inside
                 )

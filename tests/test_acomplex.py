@@ -87,7 +87,7 @@ def test_support_function_on_worked_pieces(worked):
     # V11 and (0, 0, -1) only a block-1 column
     # a form u = w / q is held as the integers (w, q)
     def support(parent, i):
-        return _support_for_index(worked, parent, i, columns_in(worked.columns(), parent))
+        return _support_for_index(worked, parent, i, columns_in(worked.columns, parent))
 
     assert support(SIGMA1, 1) == ((3, 0, -2), 4)
     assert support(SIGMA2, 0) == ((-1, -1, 1), 1)
@@ -98,7 +98,7 @@ def test_support_function_detects_inconsistency():
     data = make_data(
         r=1, c=1, n=(1, 1), m=0, l=((1,), (1,)), A=((1, 0), (0, 1)), D=((-1, 1),)
     )
-    assert data.columns() == ((-1, -1), (1, 1))
+    assert data.columns == ((-1, -1), (1, 1))
     line = cone_from_generators([(-1, -1), (1, 1)])
     with pytest.raises(NotQGorensteinOnCone) as info:
         _support_for_index(data, line, 0, (0, 1))

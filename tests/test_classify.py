@@ -98,7 +98,7 @@ def test_enumerate_setting_rejects_bad_input():
 
 def test_instantiate_setting_five_matrix():
     data, fan = instantiate(5, (3, -2))
-    assert data.columns() == (
+    assert data.columns == (
         (-2, -2, -1, 1),
         (1, 0, 0, 0),
         (1, 0, 1, 0),
@@ -412,7 +412,7 @@ def _twin(rng: random.Random, data):
     b = [[rng.randint(-2, 2) for _ in range(r)] for _ in range(s)]
     twin_d = [
         [x + y for x, y in zip(ud, bp)]
-        for ud, bp in zip(mat_mul(u, data.D), mat_mul(b, data.p0))
+        for ud, bp in zip(mat_mul(u, data.D), mat_mul(b, data.p[: data.r]))
     ]
     return replace(data, D=tuple(tuple(row) for row in twin_d))
 

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from gavindex import acomplex, classify, cli, gav_core
+from gavindex import acomplex, classify, cli, gav_core, polyhedra
 from gavindex.gav_core import fan_from_index_sets
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -238,6 +238,32 @@ def test_gorenstein_affine_zero_cone(capsys, tmp_path):
     code, report = run(capsys, "gorenstein", str(path))
     assert code == 0
     assert report["gorenstein_index"] == report["via_complex"] == report["via_cones"] == 1
+
+
+# One cone on three columns with exponents (2, 3, l2).  With l2 = 7 the
+# variety is not log terminal (1/2 + 1/3 + 1/7 < 1): some support forms
+# are positive on part of their piece, so build_complex truncates those
+# pieces through polyhedra._lifted_cut.  With l2 = 5 every cut is direct.
+LIFTED = {
+    "r": 2, "c": 1, "n": [1, 1, 1], "m": 0,
+    "l": [[2], [3], [7]],
+    "A": [["-1", "1", "0"], ["-1", "0", "1"]],
+    "D": [[1, 1, 1]],
+    "fan": [[0, 1, 2]],
+}
+
+
+@pytest.mark.parametrize("l2, index, lifted", [(7, 41, 3), (5, 31, 0)])
+def test_gorenstein_through_the_lifted_cut(capsys, tmp_path, monkeypatch, l2, index, lifted):
+    calls = []
+    real = polyhedra._lifted_cut
+    monkeypatch.setattr(polyhedra, "_lifted_cut", lambda *args: calls.append(args) or real(*args))
+    path = tmp_path / "lifted.json"
+    path.write_text(json.dumps(dict(LIFTED, l=[[2], [3], [l2]])))
+    code, report = run(capsys, "gorenstein", str(path))
+    assert code == 0
+    assert report["via_complex"] == report["via_cones"] == index
+    assert len(calls) == lifted
 
 
 def test_gorenstein_toric_plane(capsys, tmp_path):

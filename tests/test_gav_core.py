@@ -8,6 +8,7 @@ fan has two full dimensional cones plus one two dimensional cone.
 import collections
 import itertools
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -31,23 +32,24 @@ from gavindex.gav_core import (
 from gavindex.polyhedra import (
     check_fan,
     cone_from_generators,
+    intersect,
     make_fan,
     maximal_cones,
 )
 
 
 def test_assembled_matrix(worked):
-    assert worked.p0 == ((-2, -1, 2, 0), (-2, -1, 0, 3))
+    assert worked.p[: worked.r] == ((-2, -1, 2, 0), (-2, -1, 0, 3))
     assert worked.p == ((-2, -1, 2, 0), (-2, -1, 0, 3), (-1, -2, 1, 2))
-    assert worked.columns() == ((-2, -2, -1), (-1, -1, -2), (2, 0, 1), (0, 3, 2))
+    assert worked.columns == ((-2, -2, -1), (-1, -1, -2), (2, 0, 1), (0, 3, 2))
     assert worked.column_labels() == ("v01", "v02", "v11", "v21")
     assert worked.num_cols == 4
     assert worked.ambient_dim == 3
 
 
 def test_column_lookups(worked):
-    assert [worked.block_of_column(j) for j in range(4)] == [0, 0, 1, 2]
-    assert [worked.l_of_column(j) for j in range(4)] == [2, 1, 2, 3]
+    assert worked.column_blocks == (0, 0, 1, 2)
+    assert worked.column_exponents == (2, 1, 2, 3)
 
 
 def test_extra_columns_have_no_block():
@@ -60,8 +62,9 @@ def test_extra_columns_have_no_block():
         A=((1, 0), (0, 1)),
         D=((2, 0, 1, -1),),
     )
-    assert data.block_of_column(2) is None
-    assert data.l_of_column(3) is None
+    assert data.column_blocks == (0, 1, None, None)
+    assert data.column_exponents == (1, 1, None, None)
+    assert data.columns == ((-1, 2), (1, 0), (0, 1), (0, -1))
     assert data.column_labels() == ("v01", "v11", "v1", "v2")
 
 
@@ -341,7 +344,7 @@ def test_check_fan_rejects_overlapping_column_cones(worked):
 
 def _reference_sigma_u(data, u):
     dd = degree_map(data)
-    cols = data.columns()
+    cols = data.columns
     qualifying = []
     for bits in itertools.product((0, 1), repeat=data.num_cols):
         gamma0 = [dd.degrees[j].free for j, b in enumerate(bits) if b]
@@ -356,7 +359,7 @@ def _reference_sigma_u(data, u):
 
 
 def _reference_generates(data):
-    hull = cone_from_generators(data.columns())
+    hull = cone_from_generators(data.columns)
     return not hull.normals and not hull.equations
 
 
@@ -406,3 +409,71 @@ def test_ample_fan_and_generation_against_references(random_document):
             assert _sigma_u(data, u).key() == _reference_sigma_u(data, u).key(), (doc, u)
             fans[k] += 1
     assert all(fans[k] >= 3 for k in range(1, 6)), fans
+
+
+# ---------------------------------------------------------------------------
+# the derived fields of ArrangementData and the one-call moving cone
+
+
+def _reference_p(data):
+    """P from its definition: row i puts -l_0j on block 0 and l_ij on block i."""
+    rows = []
+    for i in range(1, data.r + 1):
+        row = []
+        for block, exps in enumerate(data.l):
+            row.extend(-x if block == 0 else x if block == i else 0 for x in exps)
+        rows.append(tuple(row) + (0,) * data.m)
+    return tuple(rows) + data.D
+
+
+def test_derived_fields_follow_replace_and_stay_out_of_equality(random_document):
+    rng = random.Random(20261023)
+    for _ in range(80):
+        doc = random_document(rng, *rng.choice(REFERENCE_SHAPES))
+        fields = {key: doc[key] for key in ("r", "c", "n", "m", "l", "A", "D")}
+        data, again = make_data(**fields), make_data(**fields)
+        assert data == again and hash(data) == hash(again)
+        assert data.p == _reference_p(data)
+        assert data.columns == tuple(zip(*data.p))
+        blocks = [i for i, size in enumerate(data.n) for _ in range(size)]
+        assert data.column_blocks == tuple(blocks) + (None,) * data.m
+        exponents = [x for exps in data.l for x in exps]
+        assert data.column_exponents == tuple(exponents) + (None,) * data.m
+        # a new D: replace recomputes P and its columns
+        other_doc = random_document(rng, data.r, data.c, data.s, data.n, data.m)
+        other_d = tuple(tuple(row) for row in other_doc["D"])
+        moved = replace(data, D=other_d)
+        built = make_data(**dict(fields, D=other_d))
+        assert moved == built and hash(moved) == hash(built)
+        assert moved.p == _reference_p(moved) == built.p
+        assert moved.columns == built.columns
+        assert moved.column_blocks == data.column_blocks
+        assert moved.column_exponents == data.column_exponents
+        assert (moved == data) == (other_d == data.D)
+
+
+def _reference_moving_cone(data):
+    """The moving cone by chained intersections of the drop-one degree cones."""
+    dd = degree_map(data)
+    degrees = [w.free for w in dd.degrees]
+    result = None
+    for drop in range(data.num_cols):
+        image = cone_from_generators(degrees[:drop] + degrees[drop + 1 :], ambient=dd.free_rank)
+        result = image if result is None else intersect(result, image)
+    return result
+
+
+def test_moving_cone_in_one_call_matches_chained_intersections(random_document):
+    rng = random.Random(20261024)
+    compared = collections.Counter()
+    while min(compared[k] for k in range(1, 6)) < 4:
+        doc = random_document(rng, *rng.choice(REFERENCE_SHAPES))
+        data = make_data(**{key: doc[key] for key in ("r", "c", "n", "m", "l", "A", "D")})
+        if validate(data):
+            continue
+        try:
+            mov = moving_cone(data)
+        except NotQuasiprojectiveSetup:
+            continue
+        assert mov == _reference_moving_cone(data), doc
+        compared[degree_map(data).free_rank] += 1

@@ -51,7 +51,6 @@ from gavindex.polyhedra import (
     relative_interior_point,
     toric_gorenstein_index,
     truncate,
-    zero_cone,
 )
 
 V01 = (-2, -2, -1)
@@ -93,7 +92,7 @@ def test_full_space_has_no_constraints():
 
 
 def test_zero_cone():
-    c = zero_cone(3)
+    c = cone_from_generators((), ambient=3)
     assert c.dim == 0
     assert c.rays == ()
     assert len(c.equations) == 3
@@ -185,7 +184,7 @@ def test_face_recognition():
     edge = cone_from_generators([(1, 0)])
     diag = cone_from_generators([(1, 1)])
     assert is_face(edge, orthant)
-    assert is_face(zero_cone(2), orthant)
+    assert is_face(cone_from_generators((), ambient=2), orthant)
     assert is_face(orthant, orthant)
     assert not is_face(diag, orthant)
     assert contains_cone(orthant, diag)

@@ -17,7 +17,6 @@ from gavindex.polyhedra import (
     intersect,
     make_fan,
     relative_interior_point,
-    zero_cone,
 )
 from gavindex.tropical import (
     classify_cone,
@@ -56,10 +55,10 @@ def test_leaf_inventory(trop):
         trop.leaf([0, 1])
 
 
-def test_leaf_counts_follow_binomials():
+def test_leaf_counts_follow_binomials(lineality_cone):
     t = trop_structure(3, 2, 2)
     assert len(t.leaves) == 4 + 6
-    assert t.lineality_cone.dim == 2
+    assert lineality_cone(t).dim == 2
 
 
 def test_structure_rejects_bad_parameters():
@@ -112,18 +111,18 @@ def test_minimal_indices_on_integers_and_fractions_agree():
             assert minimal_indices(t, y) == _ref_minimal_indices(t, y)
 
 
-def test_indices_of_cones(trop):
+def test_indices_of_cones(trop, lineality_cone):
     assert indices_of_cone(trop, SIGMA1) == {0, 1, 2}
     assert indices_of_cone(trop, SIGMA3) == {0}
     assert indices_of_cone(trop, trop.leaf([2])) == {2}
-    assert indices_of_cone(trop, trop.lineality_cone) == frozenset()
+    assert indices_of_cone(trop, lineality_cone(trop)) == frozenset()
 
 
 def test_classify_leaf_cones(trop):
     kind = classify_cone(trop, SIGMA3)
     assert kind.kind == "leaf"
     assert kind.leaf_indices == {0}
-    assert classify_cone(trop, zero_cone(3)).kind == "leaf"
+    assert classify_cone(trop, cone_from_generators((), ambient=3)).kind == "leaf"
     assert classify_cone(trop, trop.leaf([1])).leaf_indices == {1}
 
 
