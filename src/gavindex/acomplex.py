@@ -48,7 +48,6 @@ from .polyhedra import (
     Cell,
     Cone,
     Fan,
-    columns_in,
     cone_from_generators,
     intersect,
     level_cut,
@@ -64,6 +63,19 @@ def default_fan(data: ArrangementData) -> Fan:
         raise NotAmple(
             "the anticanonical class is not ample and no fan was supplied"
         )
+    return fan
+
+
+def _route_fan(data: ArrangementData, fan: Fan | None) -> Fan:
+    """The fan a route runs on: the given one, or the ample fan of -K.
+
+    The routes take each cone's columns from fan.index_sets, which the
+    fans built from the data list; a fan without them is refused.
+    """
+    if fan is None:
+        return default_fan(data)
+    if fan.index_sets is None:
+        raise ValueError("the fan does not list the matrix columns inside its cones")
     return fan
 
 
@@ -132,16 +144,14 @@ def build_complex(data: ArrangementData, fan: Fan | None = None) -> Anticanonica
     piece and its other intersections lie inside it; only big cones are
     intersected.  The truncated cell of a piece must not depend on the
     chosen block index or on which parent cone produced it; both are
-    asserted.
+    asserted.  The columns inside each fan cone come from fan.index_sets.
     """
-    if fan is None:
-        fan = default_fan(data)
+    fan = _route_fan(data, fan)
     trop = tropical.trop_structure(data.r, data.c, data.s)
     cols = data.columns
-    inside_of: dict[Cone, tuple[int, ...]] = {}
+    inside_of = dict(zip(fan.maximal, fan.index_sets))
     parents_of: dict[Cone, list[Cone]] = {}
-    for sigma in fan.maximal:
-        inside = inside_of[sigma] = columns_in(cols, sigma)
+    for sigma, inside in inside_of.items():
         generated = cone_from_generators([cols[j] for j in inside], ambient=data.ambient_dim)
         if generated != sigma:
             raise ValueError(
@@ -266,13 +276,13 @@ def gorenstein_index_via_complex(data: ArrangementData, fan: Fan | None = None) 
     return distance_report(build_complex(data, fan)).index
 
 
-def cone_multiplier(data: ArrangementData, cone: Cone) -> int:
+def cone_multiplier(data: ArrangementData, cone: Cone, inside: Sequence[int]) -> int:
     """Smallest positive multiple of the support values that lifts integrally.
 
+    inside lists the indices of the matrix columns in the cone.
     Computed for every block index; the results must agree.
     """
     cols = data.columns
-    inside = columns_in(cols, cone)
     rhs = [
         tuple(
             (data.r - data.c) * data.column_exponents[j] - 1
@@ -293,6 +303,7 @@ def cone_multiplier(data: ArrangementData, cone: Cone) -> int:
 
 
 def gorenstein_index_via_cones(data: ArrangementData, fan: Fan | None = None) -> int:
-    if fan is None:
-        fan = default_fan(data)
-    return math.lcm(*(cone_multiplier(data, c) for c in fan.maximal))
+    fan = _route_fan(data, fan)
+    return math.lcm(
+        *(cone_multiplier(data, c, inside) for inside, c in zip(fan.index_sets, fan.maximal))
+    )

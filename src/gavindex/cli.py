@@ -300,7 +300,7 @@ def cmd_acomplex(args) -> tuple[int, dict]:
     cx = build_complex(data, fan)
     rep = distance_report(cx)
     multipliers = [
-        {"columns": list(iset), "multiplier": cone_multiplier(data, cone)}
+        {"columns": list(iset), "multiplier": cone_multiplier(data, cone, iset)}
         for iset, cone in zip(fan.index_sets, fan.maximal)
     ]
     report = {

@@ -7,12 +7,16 @@ when they are equal as subsets of the ambient space, which makes cones
 usable as dictionary keys throughout the fan machinery.
 
 One engine computes every cone: integer double description, which adds
-constraints one at a time to a set of extreme rays and lineality lines.
-A cone given by inequalities runs it once; a cone given by generators
-runs it first on the dual cone, whose extreme rays are the facet
-normals, and then on those normals.  Rays are reduced modulo the
-lineality space and normals modulo the span of the equations, each by
-one integer projector per subspace, built once and reused for every
+constraints one at a time to a set of extreme rays and lineality lines,
+keeping for each ray the bitmask of the constraints tight on it.  Each
+cone takes one run.  A cone given by inequalities runs it from nothing.
+A cone given by generators runs it on the dual cone, whose extreme rays
+are the facet normals, and reads its own rays and lineality off the
+bitmasks of that run.  An intersection continues the run of its first
+cone from that cone's rays and facets, and a face takes no run: it is
+spanned by the rays of its cone tight on it.  Rays are reduced modulo
+the lineality space and normals modulo the span of the equations, each
+by one integer projector per subspace, built once and reused for every
 vector.
 
 A cell is cut from a cone by a form u = w / q given as integers w and
@@ -113,26 +117,44 @@ def _double_description(
     Returns (rays, tight, lines): one integer vector on each extreme ray
     modulo the lineality space, for each ray the bitmask of the
     constraints vanishing on it (bit j for constraints[j]), and a basis
-    of the lineality space (not saturated).
-
-    Incremental double description (Motzkin, Raiffa, Thompson and Thrall
-    1953; Fukuda and Prodon 1996) on integers: start from the lines of
-    ker(equations) and add one constraint at a time.  A constraint that
-    is nonzero on the lineality turns one line into a ray and moves the
-    rest of the cone onto its hyperplane along that line.  Otherwise the
-    rays on its negative side are dropped and every adjacent pair of a
-    positive and a negative ray is combined into a ray on the
-    hyperplane.  Two rays are adjacent when no third ray is tight on
-    every constraint they share: the smallest face containing both has
-    exactly the rays tight on those constraints, and it is
-    two-dimensional exactly when they are its only rays.
+    of the lineality space (not saturated).  The run starts from the
+    lines of ker(equations), with no ray, and adds every constraint by
+    _extend; this is the only double description that starts from
+    nothing.
     """
     lines = list(integer_kernel(equations)) if equations else list(identity(ambient))
-    rays: list[IntVec] = []
-    tight: list[int] = []
-    done = 0
+    return _extend([], [], lines, constraints, 0)
+
+
+def _extend(
+    rays: list[IntVec],
+    tight: list[int],
+    lines: list[IntVec],
+    constraints: IntMat,
+    first_bit: int,
+) -> tuple[list[IntVec], list[int], list[IntVec]]:
+    """Add constraints to a double description state; constraints[j] gets bit first_bit + j.
+
+    The state is a cone's rays modulo its lineality space, their tight
+    bitmasks over the first_bit constraints added so far and a basis of
+    that space; those constraints must include every facet of the cone.
+    Any cone's rays, lineality and facet normals make such a state, so a
+    cone built from another continues its run.
+
+    Incremental double description (Motzkin, Raiffa, Thompson and Thrall
+    1953; Fukuda and Prodon 1996) on integers, one constraint at a time.
+    A constraint that is nonzero on the lineality turns one line into a
+    ray and moves the rest of the cone onto its hyperplane along that
+    line.  Otherwise the rays on its negative side are dropped and every
+    adjacent pair of a positive and a negative ray is combined into a
+    ray on the hyperplane.  Two rays are adjacent when no third ray is
+    tight on every constraint they share: the smallest face containing
+    both has exactly the rays tight on those constraints, and it is
+    two-dimensional exactly when they are its only rays.
+    """
+    done = (1 << first_bit) - 1
     for j, a in enumerate(constraints):
-        bit = 1 << j
+        bit = 1 << (first_bit + j)
         on_lines = [dot(a, v) for v in lines]
         moving = [i for i, v in enumerate(on_lines) if v]
         if moving:
@@ -203,19 +225,39 @@ def cone_from_generators(
 
 @lru_cache(maxsize=1 << 17)
 def _cone_from_pool(gens: IntMat, lines: IntMat, ambient: int) -> Cone:
-    """The cone of a pool, through its facets.
+    """The cone of a pool, read off the double description of its dual.
 
     The pool spans the dual cone {y : <y,g> >= 0 for g in the pool},
     whose extreme rays are the facet normals and whose lineality space
-    is orthogonal to the span of the pool.
+    is orthogonal to the span of the pool.  Let Z(g) be the set of
+    facets tight on a pool vector g; g lies in the smallest face of the
+    cone that Z(g) cuts out, and a face is spanned by the pool vectors
+    in it.  So the lineality space, the face on every facet, is spanned
+    by the pool vectors with Z(g) all facets, and each extreme ray holds
+    a pool vector whose Z(g) is maximal among the proper sets.
     """
     pool = tuple(
         dict.fromkeys(gens + lines + tuple(tuple(-x for x in v) for v in lines))
     )
-    dual_rays, _, dual_lines = _double_description(pool, (), ambient)
+    dual_rays, dual_tight, dual_lines = _double_description(pool, (), ambient)
     equations = _orthogonal_key(pool, ambient) if dual_lines else ()
-    normals = {_canonical_ray(y, equations) for y in dual_rays}
-    return _cone_from_constraints(tuple(sorted(normals)), equations, ambient)
+    facets_of = sorted(zip((_canonical_ray(y, equations) for y in dual_rays), dual_tight))
+    every = (1 << len(facets_of)) - 1
+    zs = [
+        sum(1 << i for i, (_, t) in enumerate(facets_of) if t >> j & 1)
+        for j in range(len(pool))
+    ]
+    # one pool vector per proper face it spans
+    faces = {z: g for g, z in zip(pool, zs) if z != every}
+    rays = {z: g for z, g in faces.items() if not any(z != o and z & o == z for o in faces)}
+    return _assemble(
+        tuple(nu for nu, _ in facets_of),
+        equations,
+        ambient,
+        list(rays.values()),
+        list(rays),
+        [g for g, z in zip(pool, zs) if z == every],
+    )
 
 
 def cone_from_inequalities(
@@ -238,14 +280,29 @@ def cone_from_inequalities(
 
 @lru_cache(maxsize=1 << 17)
 def _cone_from_constraints(nus: IntMat, eqs: IntMat, ambient: int) -> Cone:
-    """The canonical Cone of the constraints; every Cone is built here.
+    """The cone of the constraints, by a double description from nothing."""
+    return _assemble(nus, eqs, ambient, *_double_description(nus, eqs, ambient))
 
-    A constraint defines a facet when the set of extreme rays it is
-    tight on is proper and inclusion-maximal among those sets.  A
-    constraint tight on every ray is an implicit equation; without one,
-    and without eqs, the cone is full dimensional.
+
+def _assemble(
+    nus: IntMat,
+    eqs: IntMat,
+    ambient: int,
+    rays: Sequence[IntVec],
+    tight: Sequence[int],
+    lines: Sequence[IntVec],
+) -> Cone:
+    """The canonical Cone {x : <nu,x> >= 0, <e,x> = 0}; every Cone is built here.
+
+    rays holds one vector on each extreme ray modulo the lineality
+    space, tight for each ray its bitmask of the nus vanishing on it
+    (bit j for nus[j]; higher bits are ignored), and lines spans the
+    lineality space.  A constraint defines a facet when the set of
+    extreme rays it is tight on is proper and inclusion-maximal among
+    those sets.  A constraint tight on every ray is an implicit
+    equation; without one, and without eqs, the cone is full
+    dimensional.
     """
-    rays, tight, lines = _double_description(nus, eqs, ambient)
     every = (1 << len(rays)) - 1
     on_ray = [sum(1 << i for i, t in enumerate(tight) if t >> j & 1) for j in range(len(nus))]
     proper = {s for s in on_ray if s != every}
@@ -268,14 +325,31 @@ def _cone_from_constraints(nus: IntMat, eqs: IntMat, ambient: int) -> Cone:
     )
 
 
+def _tight_masks(c: Cone, rays: Iterable[IntVec]) -> list[int]:
+    """For each ray, the bitmask of the normals of c vanishing on it."""
+    return [sum(1 << j for j, nu in enumerate(c.normals) if dot(nu, g) == 0) for g in rays]
+
+
+@lru_cache(maxsize=1 << 17)
 def intersect(c1: Cone, c2: Cone) -> Cone:
+    """The cone c1 ∩ c2, continuing the double description of c1.
+
+    The run starts from the rays and lineality of c1, with bitmasks
+    against its normals, which are exactly its facets; it adds the
+    normals of c2 and each equation e of c2 as the pair e, -e.
+    """
     if c1.ambient != c2.ambient:
         raise ValueError("ambient dimension mismatch")
-    return cone_from_inequalities(
-        c1.normals + c2.normals,
-        c1.equations + c2.equations,
-        ambient=c1.ambient,
+    nus = c1.normals + c2.normals
+    pairs = tuple(v for e in c2.equations for v in (e, tuple(-x for x in e)))
+    state = _extend(
+        list(c1.rays),
+        _tight_masks(c1, c1.rays),
+        list(c1.lineality),
+        c2.normals + pairs,
+        len(c1.normals),
     )
+    return _assemble(nus, c1.equations + c2.equations, c1.ambient, *state)
 
 
 def relative_interior_point(c: Cone) -> IntVec:
@@ -316,9 +390,20 @@ def columns_in(cols: Sequence[Sequence[int]], cone: Cone) -> tuple[int, ...]:
 
 
 def face_spanned_by(c: Cone, vanishing: Sequence[Sequence[int]]) -> Cone:
-    """The face of c cut out by the given normals of c."""
-    return cone_from_inequalities(
-        c.normals, c.equations + tuple(tuple(v) for v in vanishing), ambient=c.ambient
+    """The face of c cut out by the given normals of c.
+
+    Each vanishing form is nonnegative on c, so the face is spanned by
+    the rays of c tight on all of them plus the lineality space of c;
+    it is assembled from them with no double description.
+    """
+    rays = [g for g in c.rays if all(dot(v, g) == 0 for v in vanishing)]
+    return _assemble(
+        c.normals,
+        c.equations + tuple(tuple(v) for v in vanishing),
+        c.ambient,
+        rays,
+        _tight_masks(c, rays),
+        c.lineality,
     )
 
 

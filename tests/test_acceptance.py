@@ -206,7 +206,7 @@ def test_acceptance_3_block_choice_independence(oracle_instances):
             cones_checked += 1
             if len(set(per_index)) != 1:
                 violations.append((data, cone, per_index))
-            elif per_index[0] != cone_multiplier(data, cone):
+            elif per_index[0] != cone_multiplier(data, cone, inside):
                 violations.append((data, cone, per_index))
     _verdict(
         3,

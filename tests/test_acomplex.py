@@ -30,7 +30,7 @@ from gavindex.errors import (
     NotQGorensteinOnCone,
 )
 from gavindex.gav_core import fan_from_index_sets, is_fano, make_data, validate
-from gavindex.polyhedra import columns_in, cone_from_generators, make_fan
+from gavindex.polyhedra import Fan, columns_in, cone_from_generators, make_fan
 
 V01 = (-2, -2, -1)
 V02 = (-1, -1, -2)
@@ -147,9 +147,8 @@ def test_distance_report_on_worked_example(worked):
 
 
 def test_cone_multipliers_on_worked_example(worked):
-    assert cone_multiplier(worked, SIGMA1) == 4
-    assert cone_multiplier(worked, SIGMA2) == 1
-    assert cone_multiplier(worked, SIGMA3) == 3
+    for cone, expected in ((SIGMA1, 4), (SIGMA2, 1), (SIGMA3, 3)):
+        assert cone_multiplier(worked, cone, columns_in(worked.columns, cone)) == expected
 
 
 def test_both_routes_agree(worked):
@@ -179,9 +178,17 @@ def test_malformed_cone_is_rejected(worked):
 
 
 def test_fan_cone_must_be_column_generated(worked):
-    fan = make_fan([cone_from_generators([(1, 0, 0), (0, 1, 0), (0, 0, 1)])])
-    with pytest.raises(ValueError, match="columns"):
+    orthant = cone_from_generators([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    fan = Fan(3, (orthant,), (columns_in(worked.columns, orthant),))
+    with pytest.raises(ValueError, match="not generated by the matrix columns"):
         build_complex(worked, fan)
+
+
+def test_routes_refuse_a_fan_without_its_columns(worked):
+    fan = make_fan(fan_from_index_sets(worked, [(0, 2, 3)]).maximal)
+    for route in (build_complex, gorenstein_index_via_cones):
+        with pytest.raises(ValueError, match="does not list the matrix columns"):
+            route(worked, fan)
 
 
 def _seeded_listed_documents(seed, count):

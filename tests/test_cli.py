@@ -204,7 +204,7 @@ def test_multiplier_independence_check_stays_live(capsys, monkeypatch, worked_fi
     fan = fan_from_index_sets(worked, WORKED["fan"])
     message = "cone multiplier depends on the block index"
     with pytest.raises(AssertionError, match=message):
-        acomplex.cone_multiplier(worked, fan.maximal[0])
+        acomplex.cone_multiplier(worked, fan.maximal[0], fan.index_sets[0])
     code, report = run(capsys, "acomplex", worked_file)
     assert code == 3
     assert message in report["error"]

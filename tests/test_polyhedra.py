@@ -41,6 +41,7 @@ from gavindex.polyhedra import (
     cone_from_generators,
     cone_from_inequalities,
     contains_cone,
+    face_spanned_by,
     facets,
     intersect,
     is_complete,
@@ -530,6 +531,41 @@ def test_round_trips_through_both_descriptions():
     for d, c, _ in _random_cones(51, 150):
         assert cone_from_inequalities(c.normals, c.equations, ambient=d) == c
         assert cone_from_generators(c.generators(), ambient=d) == c
+
+
+def test_cones_built_from_known_runs_match_a_fresh_double_description():
+    # cone_from_inequalities runs the double description from nothing, so
+    # it is the oracle for the cones built from another cone's run
+    rng = random.Random(54)
+    by_dim: dict[int, list] = {}
+    checked = {"pools": 0, "faces": 0, "pairs": 0, "eq_and_lineality": 0}
+    for d, c, pool in _random_cones(55, 160):
+        oracle = cone_from_inequalities(c.normals, c.equations, ambient=d)
+        assert cone_from_generators(pool, ambient=d) == oracle == c
+        # several pool vectors on one ray and inside one face
+        padded = pool + [tuple(2 * x for x in g) for g in pool]
+        padded += [tuple(map(sum, zip(*rng.sample(pool, 2)))) for _ in range(3) if len(pool) > 1]
+        rng.shuffle(padded)
+        assert cone_from_generators(padded, ambient=d) == c
+        checked["pools"] += 1
+        for nu, face in zip(c.normals, facets(c)):
+            assert face == cone_from_inequalities(c.normals, c.equations + (nu,), ambient=d)
+        for _ in range(3):
+            vanishing = tuple(rng.sample(c.normals, rng.randint(0, len(c.normals))))
+            expected = cone_from_inequalities(c.normals, c.equations + vanishing, ambient=d)
+            assert face_spanned_by(c, vanishing) == expected
+            checked["faces"] += 1
+        by_dim.setdefault(d, []).append(c)
+    for d, cones in by_dim.items():
+        cones += [cone_from_inequalities((), ambient=d), cone_from_generators((), ambient=d)]
+        for a, b in itertools.permutations(cones[:8], 2):
+            expected = cone_from_inequalities(
+                a.normals + b.normals, a.equations + b.equations, ambient=d
+            )
+            assert intersect(a, b) == expected
+            checked["pairs"] += 1
+            checked["eq_and_lineality"] += bool(b.equations and a.lineality)
+    assert min(checked.values()) > 20, checked
 
 
 def test_intersect_membership_against_reference():
