@@ -97,8 +97,11 @@ def _support_for_index(
     """Form u = w / q, q > 0, that is -1 on the truncation level for block index i.
 
     The linear system runs over all matrix columns inside the parent,
-    whose indices the caller passes as inside.
+    whose indices the caller passes as inside.  A parent with no columns
+    is the zero cone, which takes the zero form of the ambient space.
     """
+    if not inside:
+        return (0,) * data.ambient_dim, 1
     rows = [data.columns[j] for j in inside]
     rhs = [
         (data.r - data.c) * data.column_exponents[j] - 1 if data.column_blocks[j] == i else -1

@@ -19,7 +19,7 @@ import os
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from . import tropical
 from .acomplex import gorenstein_index_via_complex, gorenstein_index_via_cones
@@ -393,6 +393,28 @@ def _enumerate_s2(iota: int) -> set[Params]:
     return out
 
 
+def _solve_s34(iota: int, d01: int, k: int, dividend: int) -> Iterator[Params]:
+    """Tuples (l22, d01, 0, d22) of settings 3 and 4 for one head (d01, k).
+
+    b = d01*l22 + 2*d22 runs over the signed divisors of the setting's
+    dividend; l22 = (b*k + 2*iota) / (d01*k + 2*iota) and
+    d22 = iota*(l22 - 1) / k must be integers, with l22 > 1.  The
+    caller has ruled out a zero denominator and a zero dividend.
+    """
+    den = d01 * k + 2 * iota
+    for b in _signed_divisors(dividend):
+        if (b * k + 2 * iota) % den:
+            continue
+        l22 = (b * k + 2 * iota) // den
+        if l22 <= 1:
+            continue
+        if (iota * (l22 - 1)) % k:
+            continue
+        d22 = iota * (l22 - 1) // k
+        if d01 * l22 + 2 * d22 == b:
+            yield (l22, d01, 0, d22)
+
+
 def _enumerate_s3(iota: int) -> set[Params]:
     out: set[Params] = set()
     for d01 in (-d for d in _divisors(3 * iota)):
@@ -404,25 +426,13 @@ def _enumerate_s3(iota: int) -> set[Params]:
                     "proved impossible for candidates)", d01, k22,
                 )
                 continue
-            den = d01 * k22 + 2 * iota
-            if den == 0:
+            if d01 * k22 + 2 * iota == 0:
                 log.info(
                     "setting 3: skipped d01=%d k22=%d (degenerate factor, "
                     "proved impossible for candidates)", d01, k22,
                 )
                 continue
-            for b in _signed_divisors(6 * iota * (k22 + k01)):
-                if (b * k22 + 2 * iota) % den:
-                    continue
-                l22 = (b * k22 + 2 * iota) // den
-                if l22 <= 1:
-                    continue
-                if (iota * (l22 - 1)) % k22:
-                    continue
-                d22 = iota * (l22 - 1) // k22
-                if d01 * l22 + 2 * d22 != b:
-                    continue
-                out.add((l22, d01, 0, d22))
+            out.update(_solve_s34(iota, d01, k22, 6 * iota * (k22 + k01)))
     return out
 
 
@@ -430,8 +440,7 @@ def _enumerate_s4(iota: int) -> set[Params]:
     out: set[Params] = set()
     for d01 in range(-2 * iota, 1):
         for k in range(1, 2 * iota):
-            den = d01 * k + 2 * iota
-            if den == 0:
+            if d01 * k + 2 * iota == 0:
                 log.info(
                     "setting 4: skipped d01=%d k=%d (degenerate factor, "
                     "proved impossible for candidates)", d01, k,
@@ -444,18 +453,7 @@ def _enumerate_s4(iota: int) -> set[Params]:
                     "proved impossible for candidates)", d01, k,
                 )
                 continue
-            for b in _signed_divisors(dividend):
-                if (b * k + 2 * iota) % den:
-                    continue
-                l22 = (b * k + 2 * iota) // den
-                if l22 <= 1:
-                    continue
-                if (iota * (l22 - 1)) % k:
-                    continue
-                d22 = iota * (l22 - 1) // k
-                if d01 * l22 + 2 * d22 != b:
-                    continue
-                out.add((l22, d01, 0, d22))
+            out.update(_solve_s34(iota, d01, k, dividend))
     return out
 
 
@@ -901,11 +899,6 @@ class ClassificationReport:
     groups: tuple[tuple[Candidate, ...], ...]
 
 
-def _verify_task(task: tuple[int, Params, int]) -> Verification:
-    setting_id, values, index = task
-    return verify(setting_id, values, index)
-
-
 def classify_index(
     index: int,
     settings: Sequence[int] = (1, 2, 3, 4, 5),
@@ -932,9 +925,9 @@ def classify_index(
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_verify_task, tasks, chunksize=8))
+            results = list(pool.map(verify, *zip(*tasks), chunksize=8))
     else:
-        results = [_verify_task(t) for t in tasks]
+        results = [verify(*task) for task in tasks]
     results.sort(key=lambda v: (v.setting, v.params))
 
     reports = []

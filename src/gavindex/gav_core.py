@@ -12,7 +12,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Sequence
 
 from .errors import NotAmple, NotQuasiprojectiveSetup
@@ -60,6 +60,18 @@ class ArrangementData:
     column_exponents: tuple[int | None, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if len(self.n) != self.r + 1:
+            raise ValueError(f"n must list r+1 = {self.r + 1} block sizes, got {len(self.n)}")
+        if len(self.l) != self.r + 1:
+            raise ValueError("l must provide one exponent tuple per block")
+        if any(len(li) != ni for li, ni in zip(self.l, self.n)):
+            raise ValueError("exponent tuple length must match its block size")
+        if len(self.A) != self.c + 1 or any(len(row) != self.r + 1 for row in self.A):
+            raise ValueError(f"A must have shape ({self.c + 1})x({self.r + 1})")
+        if len(self.D) != self.s:
+            raise ValueError(f"D must have s = {self.s} rows")
+        if any(len(row) != self.num_cols for row in self.D):
+            raise ValueError(f"D rows must have n+m = {self.num_cols} entries")
         blocks = tuple([i for i, size in enumerate(self.n) for _ in range(size)] + [None] * self.m)
         exponents = tuple([x for li in self.l for x in li] + [None] * self.m)
         p0 = tuple([
@@ -101,30 +113,22 @@ def make_data(
     A: Sequence[Sequence[Rat | int | str]],
     D: Sequence[Sequence[int]],
 ) -> ArrangementData:
-    """Assemble arrangement data, checking shapes only.
+    """Assemble arrangement data from plain values, converting their types.
 
-    Semantic conditions (primitivity, general position of A and so on)
-    are reported by validate rather than raised here.
+    ArrangementData refuses bad shapes itself; semantic conditions
+    (primitivity, general position of A and so on) are reported by
+    validate rather than raised here.
     """
-    n_t = tuple(int(x) for x in n)
-    if len(n_t) != r + 1:
-        raise ValueError(f"n must list r+1 = {r + 1} block sizes, got {len(n_t)}")
-    l_t = tuple(tuple(int(x) for x in li) for li in l)
-    if len(l_t) != r + 1:
-        raise ValueError("l must provide one exponent tuple per block")
-    for li, ni in zip(l_t, n_t):
-        if len(li) != ni:
-            raise ValueError("exponent tuple length must match its block size")
-    a_t = tuple(tuple(Fraction(x) for x in row) for row in A)
-    if len(a_t) != c + 1 or any(len(row) != r + 1 for row in a_t):
-        raise ValueError(f"A must have shape ({c + 1})x({r + 1})")
     d_t = tuple(tuple(int(x) for x in row) for row in D)
-    total = sum(n_t) + m
-    for row in d_t:
-        if len(row) != total:
-            raise ValueError(f"D rows must have n+m = {total} entries")
     return ArrangementData(
-        r=int(r), c=int(c), s=len(d_t), n=n_t, m=int(m), l=l_t, A=a_t, D=d_t
+        r=int(r),
+        c=int(c),
+        s=len(d_t),
+        n=tuple(int(x) for x in n),
+        m=int(m),
+        l=tuple(tuple(int(x) for x in li) for li in l),
+        A=tuple(tuple(Fraction(x) for x in row) for row in A),
+        D=d_t,
     )
 
 
@@ -203,29 +207,15 @@ class DegreeData:
     relation_degree: KElement
 
     def element_of(self, x: Sequence[int]) -> KElement:
-        free = mat_vec(self.q_free, x)
-        tors = tuple(
-            v % d for v, d in zip(mat_vec(self.q_tors, x), self.torsion)
-        )
-        return KElement(free, tors)
+        return _element(self.q_free, self.q_tors, self.torsion, x)
 
-    def add(self, a: KElement, b: KElement) -> KElement:
-        return KElement(
-            tuple(x + y for x, y in zip(a.free, b.free)),
-            tuple((x + y) % d for x, y, d in zip(a.tors, b.tors, self.torsion)),
-        )
 
-    def scale(self, k: int, a: KElement) -> KElement:
-        return KElement(
-            tuple(k * x for x in a.free),
-            tuple((k * x) % d for x, d in zip(a.tors, self.torsion)),
-        )
-
-    def zero(self) -> KElement:
-        return KElement(
-            tuple(0 for _ in range(self.free_rank)),
-            tuple(0 for _ in self.torsion),
-        )
+def _element(
+    q_free: IntMat, q_tors: IntMat, torsion: tuple[int, ...], x: Sequence[int]
+) -> KElement:
+    """Class of x in K: free coordinates, and torsion ones reduced modulo each order."""
+    tors = tuple(v % d for v, d in zip(mat_vec(q_tors, x), torsion))
+    return KElement(mat_vec(q_free, x), tors)
 
 
 @lru_cache(maxsize=256)
@@ -238,7 +228,9 @@ def degree_map(data: ArrangementData) -> DegreeData:
     kernel of P, spanned by the rows of the Smith transformation beyond
     the rank; it does not depend on the Smith form's pivot order.
     Torsion coordinates come from the rows with elementary divisor
-    greater than one, reduced modulo that divisor.
+    greater than one, reduced modulo that divisor.  The column degrees,
+    the relation degree and the test that the grading kills P all go
+    through the one map that element_of applies.
     """
     h = lattice_key(data.p)
     s_mat, u, _ = snf(transpose(h))
@@ -250,49 +242,43 @@ def degree_map(data: ArrangementData) -> DegreeData:
     q_tors = tuple(
         tuple(x % diag[i] for x in u[i]) for i in range(rho) if diag[i] > 1
     )
+    element = partial(_element, q_free, q_tors, torsion)
     for prow in data.p:
-        if any(v != 0 for v in mat_vec(q_free, prow)):
+        killed = element(prow)
+        if any(killed.free):
             raise AssertionError("free part of the grading does not kill P")
-        for v, d in zip(mat_vec(q_tors, prow), torsion):
-            if v % d != 0:
-                raise AssertionError("torsion part of the grading does not kill P")
-    dd = DegreeData(
-        free_rank=nrows - rho,
-        torsion=torsion,
-        q_free=q_free,
-        q_tors=q_tors,
-        degrees=(),
-        relation_degree=KElement((), ()),
-    )
+        if any(killed.tors):
+            raise AssertionError("torsion part of the grading does not kill P")
     basis = tuple(
         tuple(1 if k == j else 0 for k in range(nrows)) for j in range(nrows)
     )
-    degrees = tuple(dd.element_of(e) for e in basis)
     facts = tuple(zip(data.column_blocks, data.column_exponents))
     mus = [
-        dd.element_of(tuple(e if b == i else 0 for b, e in facts))
+        element(tuple(e if b == i else 0 for b, e in facts))
         for i in range(data.r + 1)
     ]
     if any(mu != mus[0] for mu in mus):
         raise AssertionError("monomial degrees differ across blocks")
     return DegreeData(
-        free_rank=dd.free_rank,
+        free_rank=nrows - rho,
         torsion=torsion,
         q_free=q_free,
         q_tors=q_tors,
-        degrees=degrees,
+        degrees=tuple(element(e) for e in basis),
         relation_degree=mus[0],
     )
 
 
 def anticanonical_class(data: ArrangementData) -> KElement:
-    """Sum of all generator degrees minus (r-c) times the relation degree."""
-    dd = degree_map(data)
-    total = dd.zero()
-    for w in dd.degrees:
-        total = dd.add(total, w)
-    correction = dd.scale(-(data.r - data.c), dd.relation_degree)
-    return dd.add(total, correction)
+    """Sum of all generator degrees minus (r-c) times the relation degree.
+
+    The relation degree is that of the block-0 monomial T_0^{l_0}, and
+    the degree map is linear, so this is the class of the vector that
+    is 1 - (r-c) l_0j on the columns of block 0 and 1 on every other.
+    """
+    rc = data.r - data.c
+    facts = zip(data.column_blocks, data.column_exponents)
+    return degree_map(data).element_of(tuple(1 - rc * e if b == 0 else 1 for b, e in facts))
 
 
 def moving_cone(data: ArrangementData) -> Cone:

@@ -1,9 +1,10 @@
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import pytest
 
+from gavindex.exactla import mat_mul
 from gavindex.gav_core import make_data
 from gavindex.polyhedra import cone_from_generators, intersect, relative_interior_point
 
@@ -82,3 +83,37 @@ def _random_document(rng: random.Random, r: int, c: int, s: int, n, m: int) -> d
 @pytest.fixture
 def random_document():
     return _random_document
+
+
+def _random_unimodular(rng: random.Random, s: int) -> list[list[int]]:
+    """Sign flips and row additions applied to the s x s identity."""
+    u = [[int(i == j) for j in range(s)] for i in range(s)]
+    for i in range(s):
+        if rng.random() < 0.5:
+            u[i] = [-x for x in u[i]]
+    for _ in range(2 * s if s > 1 else 0):
+        i, j = rng.sample(range(s), 2)
+        k = rng.choice((-2, -1, 1, 2))
+        u[i] = [a + k * b for a, b in zip(u[i], u[j])]
+    return u
+
+
+def _twin(rng: random.Random, data):
+    """The data with D replaced by U D + B P0, U unimodular and B integral.
+
+    The rows of P change by a unimodular map that fixes the tropical
+    leaves, so the variety and the column index sets of its cones stay.
+    """
+    s, r = len(data.D), data.r
+    u = _random_unimodular(rng, s)
+    b = [[rng.randint(-2, 2) for _ in range(r)] for _ in range(s)]
+    twin_d = [
+        [x + y for x, y in zip(ud, bp)]
+        for ud, bp in zip(mat_mul(u, data.D), mat_mul(b, data.p[: data.r]))
+    ]
+    return replace(data, D=tuple(tuple(row) for row in twin_d))
+
+
+@pytest.fixture
+def twin():
+    return _twin

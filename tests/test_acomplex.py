@@ -105,6 +105,14 @@ def test_support_function_detects_inconsistency():
     assert info.value.cone == line
 
 
+def test_zero_cone_takes_the_zero_form_of_the_ambient_space(worked):
+    cx = build_complex(worked, fan_from_index_sets(worked, ((),)))
+    (info,) = cx.pieces
+    assert info.support == (0, 0, 0)
+    assert info.cell.vertices == ((0, 0, 0),)
+    assert info.roof is None and cx.boundary == ()
+
+
 EXPECTED_ROOFS = {
     ((-2, -2, -1), (0, 0, 2)),
     ((-1, -1, -2), (0, 0, -1)),

@@ -437,8 +437,8 @@ def test_classify_pool_is_bounded(capsys, monkeypatch, cpus, workers):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, tasks, chunksize=1):
-            return map(fn, tasks)
+        def map(self, fn, *iterables, chunksize=1):
+            return map(fn, *iterables)
 
     argv = ("classify", "--index", "1", "--settings", "5")
     serial = run(capsys, *argv)

@@ -76,6 +76,7 @@ def test_extra_columns_have_no_block():
         dict(l=((2,), (2,), (3,))),
         dict(A=((-1, 1), (-1, 0))),
         dict(D=((-1, -2, 1),)),
+        dict(D=((-1, -2, 1, 2, 0),)),
     ],
 )
 def test_make_data_rejects_bad_shapes(kwargs):
@@ -88,9 +89,17 @@ def test_make_data_rejects_bad_shapes(kwargs):
         A=((-1, 1, 0), (-1, 0, 1)),
         D=((-1, -2, 1, 2),),
     )
-    base.update(kwargs)
-    with pytest.raises(ValueError):
-        make_data(**base)
+    with pytest.raises(ValueError) as built:
+        make_data(**dict(base, **kwargs))
+    # the data refuses the same shape with the same message on replace
+    with pytest.raises(ValueError) as replaced:
+        replace(make_data(**base), **kwargs)
+    assert str(replaced.value) == str(built.value)
+
+
+def test_replace_rejects_a_row_count_other_than_s(worked):
+    with pytest.raises(ValueError, match="D must have s = 1 rows"):
+        replace(worked, D=((-1, -2, 1, 2), (0, 0, 0, 1)))
 
 
 def test_validate_accepts_worked(worked):
@@ -216,12 +225,8 @@ def test_kelement_arithmetic_wraps_torsion():
         degrees=(),
         relation_degree=KElement((0,), (0,)),
     )
-    a = KElement((2,), (3,))
-    b = KElement((-1,), (2,))
-    assert dd.add(a, b) == KElement((1,), (1,))
-    assert dd.scale(-1, a) == KElement((-2,), (1,))
-    assert dd.scale(4, a) == KElement((8,), (0,))
     assert dd.element_of((5, 7)) == KElement((5,), (3,))
+    assert dd.element_of((-2, -1)) == KElement((-2,), (3,))
 
 
 def test_anticanonical_class_of_worked_example(worked):
@@ -477,3 +482,58 @@ def test_moving_cone_in_one_call_matches_chained_intersections(random_document):
             continue
         assert mov == _reference_moving_cone(data), doc
         compared[degree_map(data).free_rank] += 1
+
+
+# ---------------------------------------------------------------------------
+# the anticanonical class as one value of the degree map
+
+
+def _reference_anticanonical_class(dd, data):
+    """Sum of the degrees minus (r-c) times the relation degree, by group operations."""
+
+    def add(a, b):
+        return KElement(
+            tuple(x + y for x, y in zip(a.free, b.free)),
+            tuple((x + y) % d for x, y, d in zip(a.tors, b.tors, dd.torsion)),
+        )
+
+    def scale(k, a):
+        return KElement(
+            tuple(k * x for x in a.free),
+            tuple((k * x) % d for x, d in zip(a.tors, dd.torsion)),
+        )
+
+    total = KElement((0,) * dd.free_rank, (0,) * len(dd.torsion))
+    for w in dd.degrees:
+        total = add(total, w)
+    return add(total, scale(-(data.r - data.c), dd.relation_degree))
+
+
+# (r, c, s, n, m) of free rank 1-3; torsion comes from the exponents
+FREE_RANK_1_TO_3_SHAPES = (
+    (1, 1, 1, (2, 1), 0),
+    (1, 1, 1, (2, 2), 0),
+    (1, 1, 2, (2, 2), 1),
+    (1, 1, 1, (3, 2), 0),
+    (2, 1, 1, (2, 2, 2), 0),
+)
+
+
+def test_anticanonical_class_matches_group_operations_and_twins(random_document, twin):
+    rng = random.Random(20261025)
+    seen = collections.Counter()
+    while min(seen[k, t] for k in (1, 2, 3) for t in (True, False)) < 3:
+        doc = random_document(rng, *rng.choice(FREE_RANK_1_TO_3_SHAPES))
+        data = make_data(**{key: doc[key] for key in ("r", "c", "n", "m", "l", "A", "D")})
+        if validate(data):
+            continue
+        dd = degree_map(data)
+        if seen[dd.free_rank, bool(dd.torsion)] >= 8:
+            continue
+        ak = anticanonical_class(data)
+        assert ak == _reference_anticanonical_class(dd, data), doc
+        moved = twin(rng, data)
+        assert lattice_key(moved.p) == lattice_key(data.p)
+        assert degree_map(moved) == dd, (doc, moved.D)
+        assert anticanonical_class(moved) == ak, (doc, moved.D)
+        seen[dd.free_rank, bool(dd.torsion)] += 1
