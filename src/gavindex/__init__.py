@@ -46,7 +46,6 @@ from .gav_core import (
     KElement,
     anticanonical_class,
     degree_map,
-    fan_from_ample,
     fan_from_index_sets,
     is_fano,
     make_data,
@@ -102,7 +101,6 @@ __all__ = [
     "degree_map",
     "distance_report",
     "enumerate_setting",
-    "fan_from_ample",
     "fan_from_index_sets",
     "fingerprint",
     "gorenstein_index_via_complex",

@@ -25,10 +25,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from . import gav_core, tropical
+from . import tropical
 from .errors import (
     DegenerateCell,
-    NotAmple,
     NotLatticeMeasurable,
     NotQGorensteinOnCone,
 )
@@ -54,29 +53,6 @@ from .polyhedra import (
     maximal_cones,
     truncate,
 )
-
-
-def default_fan(data: ArrangementData) -> Fan:
-    """The ample fan of the anticanonical class; NotAmple when there is none."""
-    ok, fan = gav_core.is_fano(data)
-    if not ok:
-        raise NotAmple(
-            "the anticanonical class is not ample and no fan was supplied"
-        )
-    return fan
-
-
-def _route_fan(data: ArrangementData, fan: Fan | None) -> Fan:
-    """The fan a route runs on: the given one, or the ample fan of -K.
-
-    The routes take each cone's columns from fan.index_sets, which the
-    fans built from the data list; a fan without them is refused.
-    """
-    if fan is None:
-        return default_fan(data)
-    if fan.index_sets is None:
-        raise ValueError("the fan does not list the matrix columns inside its cones")
-    return fan
 
 
 def _admissible_block_indices(
@@ -136,7 +112,7 @@ class AnticanonicalComplex:
         return frozenset(v for b in self.boundary for v in b.vertices)
 
 
-def build_complex(data: ArrangementData, fan: Fan | None = None) -> AnticanonicalComplex:
+def build_complex(data: ArrangementData, fan: Fan) -> AnticanonicalComplex:
     """Assemble pieces, truncated cells and boundary roofs over the fan.
 
     Each fan cone must be generated by the matrix columns inside it and
@@ -147,9 +123,11 @@ def build_complex(data: ArrangementData, fan: Fan | None = None) -> Anticanonica
     piece and its other intersections lie inside it; only big cones are
     intersected.  The truncated cell of a piece must not depend on the
     chosen block index or on which parent cone produced it; both are
-    asserted.  The columns inside each fan cone come from fan.index_sets.
+    asserted.  The columns inside each fan cone come from fan.index_sets,
+    so a fan without them is refused.
     """
-    fan = _route_fan(data, fan)
+    if fan.index_sets is None:
+        raise ValueError("the fan does not list the matrix columns inside its cones")
     trop = tropical.trop_structure(data.r, data.c, data.s)
     cols = data.columns
     inside_of = dict(zip(fan.maximal, fan.index_sets))
@@ -174,7 +152,8 @@ def build_complex(data: ArrangementData, fan: Fan | None = None) -> Anticanonica
     maximal = maximal_cones(parents_of)
 
     infos = []
-    boundary: dict[tuple, Cell] = {}
+    # keyed by roof, so the first appearance of each keeps its place
+    boundary: dict[Cell, None] = {}
     forms: dict[tuple[Cone, int], tuple[IntVec, int]] = {}
     for piece in maximal:
         kind = tropical.classify_cone(trop, piece)
@@ -197,7 +176,7 @@ def build_complex(data: ArrangementData, fan: Fan | None = None) -> Anticanonica
                     values = [dot(w0, g) for g in gens]
                     cell = truncate(piece, w0, q0)
                 elif any(dot(w, g) * q0 != v * q for g, v in zip(gens, values)):
-                    if truncate(piece, w, q).key() != cell.key():
+                    if truncate(piece, w, q) != cell:
                         raise AssertionError(
                             "truncated cell depends on the block index or parent"
                         )
@@ -214,10 +193,8 @@ def build_complex(data: ArrangementData, fan: Fan | None = None) -> Anticanonica
             )
         )
         if roof is not None:
-            boundary.setdefault(roof.key(), roof)
-    return AnticanonicalComplex(
-        fan=fan, pieces=tuple(infos), boundary=tuple(boundary.values())
-    )
+            boundary.setdefault(roof)
+    return AnticanonicalComplex(fan=fan, pieces=tuple(infos), boundary=tuple(boundary))
 
 
 def lattice_distance(
@@ -275,7 +252,7 @@ def distance_report(cx: AnticanonicalComplex) -> DistanceReport:
     return DistanceReport(index=math.lcm(*distances) if distances else 1, distances=distances)
 
 
-def gorenstein_index_via_complex(data: ArrangementData, fan: Fan | None = None) -> int:
+def gorenstein_index_via_complex(data: ArrangementData, fan: Fan) -> int:
     return distance_report(build_complex(data, fan)).index
 
 
@@ -305,8 +282,9 @@ def cone_multiplier(data: ArrangementData, cone: Cone, inside: Sequence[int]) ->
     return found[0]
 
 
-def gorenstein_index_via_cones(data: ArrangementData, fan: Fan | None = None) -> int:
-    fan = _route_fan(data, fan)
+def gorenstein_index_via_cones(data: ArrangementData, fan: Fan) -> int:
+    if fan.index_sets is None:
+        raise ValueError("the fan does not list the matrix columns inside its cones")
     return math.lcm(
         *(cone_multiplier(data, c, inside) for inside, c in zip(fan.index_sets, fan.maximal))
     )

@@ -32,8 +32,6 @@ from .errors import (
 from .gav_core import (
     ArrangementData,
     DegreeData,
-    KElement,
-    anticanonical_class,
     degree_map,
     fan_from_index_sets,
     is_fano,
@@ -203,7 +201,6 @@ class Candidate:
     data: ArrangementData
     fan: Fan
     degrees: DegreeData
-    anticanonical: KElement
     index: int
 
 
@@ -219,7 +216,7 @@ class Verification:
 
 def verify_data(
     data: ArrangementData,
-    fan: Fan | None,
+    fan: Fan,
     index: int,
     *,
     setting: int = 0,
@@ -231,10 +228,11 @@ def verify_data(
     has free rank one, the ample-class fan coincides with the supplied
     fan, and both Gorenstein index routes return exactly the requested
     index.  Everything else is a rejection carrying a machine-readable
-    reason.  A missing fan defers to the ample-class fan itself, making
-    the agreement clause vacuous.  The supplied cones need not have
-    been checked to form a fan: the ample-class fan is one by
-    construction, so cones that are not a fan end in fan_mismatch.
+    reason.  The fans are compared as sets of cones, so the order in
+    which the supplied fan lists them does not matter.  The supplied
+    cones need not have been checked to form a fan: the ample-class fan
+    is one by construction, so cones that are not a fan end in
+    fan_mismatch.
     """
 
     def rejected(reason: str, detail: object = None) -> Verification:
@@ -249,10 +247,7 @@ def verify_data(
     dd = degree_map(data)
     if dd.free_rank != 1:
         return rejected("rank_mismatch", dd.free_rank)
-    assert ample_fan is not None
-    if fan is None:
-        fan = ample_fan
-    elif ample_fan.key() != fan.key():
+    if set(ample_fan.maximal) != set(fan.maximal):
         return rejected("fan_mismatch")
     try:
         via_complex = gorenstein_index_via_complex(data, fan)
@@ -271,7 +266,6 @@ def verify_data(
         data=data,
         fan=fan,
         degrees=dd,
-        anticanonical=anticanonical_class(data),
         index=via_complex,
     )
     return Verification(setting, params, True, candidate=candidate)

@@ -19,7 +19,6 @@ from . import tropical
 from .acomplex import (
     build_complex,
     cone_multiplier,
-    default_fan,
     distance_report,
     gorenstein_index_via_complex,
     gorenstein_index_via_cones,
@@ -41,6 +40,7 @@ from .gav_core import (
     anticanonical_class,
     degree_map,
     fan_from_index_sets,
+    is_fano,
     make_data,
     moving_cone,
     validate,
@@ -200,7 +200,10 @@ def _resolve_fan(data: ArrangementData, index_sets: IndexSets | None) -> Fan:
     leaf cone or a big cone, so every command admits the same fans.
     """
     if index_sets is None:
-        return default_fan(data)
+        ok, fan = is_fano(data)
+        if not ok:
+            raise NotAmple("the anticanonical class is not ample and no fan was supplied")
+        return fan
     fan = check_fan(fan_from_index_sets(data, index_sets))
     trop = tropical.trop_structure(data.r, data.c, data.s)
     for cone in fan.maximal:

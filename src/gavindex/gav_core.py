@@ -97,11 +97,18 @@ class ArrangementData:
         return self.r + self.s
 
     def column_labels(self) -> tuple[str, ...]:
-        labels = []
-        for i, size in enumerate(self.n):
-            labels.extend(f"v{i}{j}" for j in range(1, size + 1))
-        labels.extend(f"v{k}" for k in range(1, self.m + 1))
-        return tuple(labels)
+        """Column j of block i is v{i}{j} and extra column k is v{k}.
+
+        Those labels are distinct only while i and j have one digit and
+        k <= 10; any other document labels every column v{i}_{j} and
+        extra column k as s{k}.
+        """
+        if self.r <= 9 and max(self.n, default=0) <= 9 and self.m <= 10:
+            block, extra = "v{}{}", "v{}"
+        else:
+            block, extra = "v{}_{}", "s{}"
+        labels = [block.format(i, j) for i, size in enumerate(self.n) for j in range(1, size + 1)]
+        return tuple(labels + [extra.format(k) for k in range(1, self.m + 1)])
 
 
 def make_data(
@@ -313,14 +320,6 @@ def moving_cone(data: ArrangementData) -> Cone:
     )
 
 
-def _free_part(u: KElement | Sequence[int]) -> tuple[int, ...]:
-    if isinstance(u, KElement):
-        return tuple(u.free)
-    if any(type(x) is not int for x in u):
-        raise ValueError("class coordinates must be integers")
-    return tuple(u)
-
-
 # Most subsets of the columns the ample-fan search may test.
 FACE_BUDGET = 1 << 20
 
@@ -373,17 +372,6 @@ def _ample_fan(data: ArrangementData, u_free: tuple[int, ...]) -> Fan | None:
     trop = tropical.trop_structure(data.r, data.c, data.s)
     pruned = tropical.prune_to_minimal(trop, raw)
     return _with_column_info(pruned, data.columns)
-
-
-def fan_from_ample(data: ArrangementData, u: KElement | Sequence[int]) -> Fan:
-    """Minimal projective fan attached to an ample class; its raw fan must be complete."""
-    u_free = _free_part(u)
-    if len(u_free) != degree_map(data).free_rank:
-        raise ValueError("class has wrong free rank")
-    fan = _ample_fan(data, u_free)
-    if fan is None:
-        raise ValueError("ample-class fan failed the completeness check")
-    return fan
 
 
 def is_fano(data: ArrangementData) -> tuple[bool, Fan | None]:

@@ -4,7 +4,9 @@ Cones are stored in a doubly canonical form: extreme rays (primitive,
 reduced modulo lineality, lexicographically sorted) together with facet
 normals and span equations. Two cones are equal as Python objects exactly
 when they are equal as subsets of the ambient space, which makes cones
-usable as dictionary keys throughout the fan machinery.
+usable as dictionary keys throughout the fan machinery.  Dataclass
+equality is the only identity: cells compare by their vertex
+description, and make_fan lists a fan's cones in one canonical order.
 
 One engine computes every cone: integer double description, which adds
 constraints one at a time to a set of extreme rays and lineality lines,
@@ -85,9 +87,6 @@ class Cone:
         return all(dot(e, x) == 0 for e in self.equations) and all(
             dot(nu, x) > 0 for nu in self.normals
         )
-
-    def key(self) -> tuple:
-        return (self.ambient, self.equations, self.normals)
 
 
 def _canonical_ray(g: Sequence[int], lineality: IntMat) -> IntVec:
@@ -407,18 +406,6 @@ def face_spanned_by(c: Cone, vanishing: Sequence[Sequence[int]]) -> Cone:
     )
 
 
-def is_face(t: Cone, c: Cone) -> bool:
-    """Whether t is a face of c."""
-    if t.ambient != c.ambient:
-        return False
-    if not contains_cone(c, t):
-        return False
-    tight = tuple(
-        nu for nu in c.normals if all(dot(nu, g) == 0 for g in t.generators())
-    )
-    return t == face_spanned_by(c, tight)
-
-
 def facets(c: Cone) -> tuple[Cone, ...]:
     return tuple(face_spanned_by(c, (nu,)) for nu in c.normals)
 
@@ -435,9 +422,6 @@ class Fan:
     maximal: tuple[Cone, ...]
     index_sets: tuple[tuple[int, ...], ...] | None = None
 
-    def key(self) -> frozenset:
-        return frozenset(c.key() for c in self.maximal)
-
 
 def make_fan(cones: Sequence[Cone]) -> Fan:
     """Fan of the distinct cones in canonical order.
@@ -448,16 +432,23 @@ def make_fan(cones: Sequence[Cone]) -> Fan:
     if not cones:
         raise ValueError("a fan needs at least one cone")
     ambient = cones[0].ambient
-    ordered = tuple(sorted(dict.fromkeys(cones), key=lambda c: c.key()[1:]))
+    ordered = tuple(sorted(dict.fromkeys(cones), key=lambda c: (c.equations, c.normals)))
     return Fan(ambient, ordered)
 
 
 def check_fan(fan: Fan) -> Fan:
-    """The fan itself, or ValueError when two of its cones do not meet in a common face."""
+    """The fan itself, or ValueError when two of its cones do not meet in a common face.
+
+    The intersection lies in both cones, so it is a face of one exactly
+    when the normals of that cone vanishing on it cut out the intersection.
+    """
     for a, b in itertools.combinations(fan.maximal, 2):
         common = intersect(a, b)
-        if not (is_face(common, a) and is_face(common, b)):
-            raise ValueError("cones do not intersect in common faces")
+        gens = common.rays + common.lineality
+        for c in (a, b):
+            vanishing = [nu for nu in c.normals if all(dot(nu, g) == 0 for g in gens)]
+            if face_spanned_by(c, vanishing) != common:
+                raise ValueError("cones do not intersect in common faces")
     return fan
 
 
@@ -498,9 +489,6 @@ class Cell:
     vertices: tuple[RatVec, ...]
     rays: IntMat = ()
     lineality: IntMat = ()
-
-    def key(self) -> tuple:
-        return (self.ambient, self.vertices, self.rays, self.lineality)
 
 
 def _direct_cut(c: Cone, w: Sequence[int], q: int) -> Cell | None:

@@ -125,7 +125,7 @@ EXPECTED_ROOFS = {
 
 
 def test_build_complex_on_worked_example(worked):
-    cx = build_complex(worked)
+    cx = build_complex(worked, is_fano(worked)[1])
     assert len(cx.pieces) == 7
     leaf_count = {0: 0, 1: 0, 2: 0}
     for info in cx.pieces:
@@ -149,7 +149,7 @@ def test_build_complex_on_worked_example(worked):
 
 
 def test_distance_report_on_worked_example(worked):
-    report = distance_report(build_complex(worked))
+    report = distance_report(build_complex(worked, is_fano(worked)[1]))
     assert sorted(report.distances) == [1, 1, 1, 2, 3, 4, 4]
     assert report.index == 12
 
@@ -160,8 +160,9 @@ def test_cone_multipliers_on_worked_example(worked):
 
 
 def test_both_routes_agree(worked):
-    assert gorenstein_index_via_complex(worked) == 12
-    assert gorenstein_index_via_cones(worked) == 12
+    fan = is_fano(worked)[1]
+    assert gorenstein_index_via_complex(worked, fan) == 12
+    assert gorenstein_index_via_cones(worked, fan) == 12
 
 
 def test_single_cone_fan_is_accepted(worked):

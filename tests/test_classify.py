@@ -9,6 +9,7 @@ checked against window scans that walk every value the multiplier
 bounds allow, and setting 2 also against a column scan at larger bounds.
 """
 
+import collections
 import math
 import random
 from dataclasses import replace
@@ -41,10 +42,17 @@ from gavindex.classify import (
     verify,
     verify_data,
 )
-from gavindex.errors import InvalidCandidate
+from gavindex.errors import GavError, InvalidCandidate
 from gavindex.exactla import min_integral_multiplier
-from gavindex.gav_core import KElement, fan_from_index_sets, make_data
-from gavindex.polyhedra import intersect
+from gavindex.gav_core import (
+    KElement,
+    degree_map,
+    fan_from_index_sets,
+    is_fano,
+    make_data,
+    validate,
+)
+from gavindex.polyhedra import Fan, cone_from_generators, intersect, make_fan
 
 S5_INDEX_ONE = ((3, -2), (4, -3), (6, -5))
 
@@ -168,8 +176,8 @@ def test_verify_worked_example_both_targets(worked):
     assert verify_data(worked, fan, 12).accepted
     miss = verify_data(worked, fan, 6)
     assert (miss.reason, miss.detail) == ("index_mismatch", 12)
-    # without a reference fan the ample-class fan is checked against itself
-    assert verify_data(worked, None, 12).accepted
+    # the ample-class fan is accepted against itself
+    assert verify_data(worked, is_fano(worked)[1], 12).accepted
 
 
 def test_verify_fan_mismatch(worked):
@@ -184,13 +192,59 @@ def test_verify_data_rejects_unchecked_non_fan(worked):
     assert verify_data(worked, overlapping, 12).reason == "fan_mismatch"
 
 
+# Shapes (r, c, s, n, m) of random documents of free rank 1, 2 and 3,
+# the number of columns minus r + s
+IDENTITY_SHAPES = (
+    (1, 1, 1, (2, 1), 0),
+    (2, 1, 1, (1, 1, 1), 1),
+    (1, 1, 1, (2, 2), 0),
+    (2, 1, 1, (2, 2, 1), 0),
+    (1, 1, 1, (3, 2), 0),
+    (1, 1, 1, (2, 2), 1),
+)
+
+
+def test_cones_and_fans_compare_by_value(random_document):
+    # Every cone is built in one canonical form, so dataclass equality is
+    # the identity of cones and fans: neither rebuilding a cone from its
+    # rays nor listing a fan's cones in another order changes a result.
+    rng = random.Random(20261022)
+    fans = collections.Counter()
+    while min(fans[k] for k in (1, 2, 3)) < 4:
+        doc = random_document(rng, *rng.choice(IDENTITY_SHAPES))
+        data = make_data(**{k: doc[k] for k in ("r", "c", "n", "m", "l", "A", "D")})
+        if validate(data):
+            continue
+        try:
+            fano, fan = is_fano(data)
+        except GavError:
+            continue
+        if not fano:
+            continue
+        rank = degree_map(data).free_rank
+        fans[rank] += 1
+        shuffled = list(fan.maximal)
+        rng.shuffle(shuffled)
+        assert make_fan(shuffled) == Fan(fan.ambient, fan.maximal), doc
+        order = [(c.equations, c.normals) for c in fan.maximal]
+        assert order == sorted(order), doc
+        for c in fan.maximal:
+            rebuilt = cone_from_generators(c.rays, c.lineality, ambient=c.ambient)
+            assert rebuilt == c and hash(rebuilt) == hash(c), doc
+        reverse = Fan(fan.ambient, fan.maximal[::-1], fan.index_sets[::-1])
+        canonical, reordered = verify_data(data, fan, 1), verify_data(data, reverse, 1)
+        assert reordered.reason != "fan_mismatch", doc
+        verdict = (canonical.accepted, canonical.reason, canonical.detail)
+        assert (reordered.accepted, reordered.reason, reordered.detail) == verdict, doc
+
+
 def test_verify_rank_mismatch():
     # a product of two lines carries a rank-two grading
     prod = make_data(
         r=1, c=1, n=(1, 1), m=2, l=((1,), (1,)),
         A=((1, 0), (0, 1)), D=((0, 0, 1, -1),),
     )
-    v = verify_data(prod, None, 1)
+    v = verify_data(prod, is_fano(prod)[1], 1)
     assert (v.reason, v.detail) == ("rank_mismatch", 2)
 
 
@@ -227,8 +281,8 @@ def test_fingerprint_block_swap_invariance(worked):
         A=((-1, 0, 1), (-1, 1, 0)),
         D=((-1, -2, 2, 1),),
     )
-    a = verify_data(worked, None, 12)
-    b = verify_data(swapped, None, 12)
+    a = verify_data(worked, is_fano(worked)[1], 12)
+    b = verify_data(swapped, is_fano(swapped)[1], 12)
     assert a.accepted and b.accepted
     assert fingerprint(a.candidate) == fingerprint(b.candidate)
 

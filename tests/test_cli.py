@@ -148,6 +148,20 @@ def test_fan_defaults_to_anticanonical(capsys, tmp_path):
     assert len(report["maximal_cones"]) == 3
 
 
+def test_labels_of_projective_20_space_are_distinct(capsys):
+    # block 1's column and extra column 11 would both be v11
+    path = str(DATA / "projective-20-space.json")
+    code, report = run(capsys, "info", path)
+    assert code == 0
+    labels = [d["label"] for d in report["degrees"]]
+    assert len(set(labels)) == len(labels) == 21
+    assert labels[:3] == ["v0_1", "v1_1", "s1"] and labels[-1] == "s19"
+    code, report = run(capsys, "fan", path)
+    assert code == 0
+    for cone in report["maximal_cones"]:
+        assert cone["labels"] == [labels[j] for j in cone["columns"]]
+
+
 def test_fan_bad_index(capsys, tmp_path):
     doc = dict(WORKED, fan=[[0, 2, 9]])
     path = tmp_path / "badfan.json"
@@ -359,7 +373,8 @@ PINNED_SHA256 = {
     ("fano-16-columns", "acomplex"): (0, "2fd5bd37134d622a096e352257be5405efad155d889b9e410418ea3c4b5ffceb"),
     ("not-generating-16-columns", "fan"): NOT_GENERATING_SHA256,
     ("not-generating-16-columns", "acomplex"): NOT_GENERATING_SHA256,
-    ("projective-20-space", "fan"): (0, "8f99b6a865f2958150c5b5374683a656408cd86f1a91cffa51f33480b210ba8e"),
+    # labels v0_1, v1_1 and s1..s19, since v{i}{j} and v{k} collide at v11
+    ("projective-20-space", "fan"): (0, "5904c8bcbbbf37023f6ee9254f2bc100afa3f3b11cab08fabbff2589d869d427"),
     ("projective-20-space", "acomplex"): (0, "b73f9de34d59dc1f64021019a7321f1427adf7f9105a5d5035055394733cf6ef"),
     ("README", "fan"): (0, "79212f93cb7bbea1129892665216888e463b51099d3ae5896b1a5dee3f7409c9"),
     ("README", "acomplex"): (0, "580eb104519d858f2fe2b852ae0e391aa38cdd124cb770c9c285c0c0d1d1e178"),

@@ -34,6 +34,7 @@ from gavindex.exactla import (
 from gavindex.gav_core import degree_map, make_data, moving_cone, validate
 from gavindex.polyhedra import (
     Cell,
+    Fan,
     _canonical_ray,
     _direct_cut,
     _lifted_cut,
@@ -45,7 +46,6 @@ from gavindex.polyhedra import (
     facets,
     intersect,
     is_complete,
-    is_face,
     level_cut,
     make_fan,
     maximal_cones,
@@ -184,11 +184,16 @@ def test_face_recognition():
     orthant = cone_from_generators([(1, 0), (0, 1)])
     edge = cone_from_generators([(1, 0)])
     diag = cone_from_generators([(1, 1)])
-    assert is_face(edge, orthant)
-    assert is_face(cone_from_generators((), ambient=2), orthant)
-    assert is_face(orthant, orthant)
-    assert not is_face(diag, orthant)
+    # a fan's cones meet in a face of each
+    for other in (edge, cone_from_generators((), ambient=2), orthant):
+        fan = Fan(2, (orthant, other))
+        assert check_fan(fan) is fan
+    # the diagonal ray lies in the orthant but is not a face of it; the
+    # intersection with cone((1, 1), (0, 1)) is a face of that cone only
     assert contains_cone(orthant, diag)
+    for other in (diag, cone_from_generators([(1, 1), (0, 1)])):
+        with pytest.raises(ValueError, match="common faces"):
+            check_fan(Fan(2, (orthant, other)))
 
 
 def test_facets_of_simplicial_cone():
@@ -196,7 +201,8 @@ def test_facets_of_simplicial_cone():
     assert len(fs) == 3
     for f in fs:
         assert f.dim == 2
-        assert is_face(f, SIGMA1)
+        fan = Fan(SIGMA1.ambient, (SIGMA1, f))
+        assert check_fan(fan) is fan
 
 
 def test_fan_validation_rejects_overlap():
@@ -350,7 +356,7 @@ def test_toric_index_weighted_values():
 def test_cell_key_is_order_insensitive():
     a = Cell(2, ((Fraction(0), Fraction(0)), (Fraction(1), Fraction(2))))
     b = Cell(2, ((Fraction(0), Fraction(0)), (Fraction(1), Fraction(2))))
-    assert a.key() == b.key()
+    assert a == b and hash(a) == hash(b)
 
 
 # ---------------------------------------------------------------------------
@@ -756,13 +762,13 @@ def test_integer_cuts_match_the_rational_reference():
     for c, w, q in _seeded_cuts(61, 500):
         u = tuple(Fraction(x, q) for x in w)
         cell = truncate(c, w, q)
-        assert cell.key() == _ref_homogeneous_cut(c, u, False).key()
+        assert cell == _ref_homogeneous_cut(c, u, False)
         ref_roof = _ref_homogeneous_cut(c, u, True)
         roof = level_cut(cell, w)
         if not ref_roof.vertices:
             assert roof is None
         else:
-            assert roof is not None and roof.key() == ref_roof.key()
+            assert roof is not None and roof == ref_roof
             # the roofs' distances agree as well
             origin = tuple(0 for _ in range(c.ambient))
             dirs = roof.rays + roof.lineality
@@ -804,7 +810,7 @@ def test_direct_and_lifted_cuts_agree_on_cones_with_lineality():
     for c, w, q in _seeded_cuts(63, 600):
         direct = _direct_cut(c, w, q)
         if c.lineality and direct is not None:
-            assert direct.key() == _lifted_cut(c, w, q).key()
+            assert direct == _lifted_cut(c, w, q)
             compared += 1
     assert compared >= 40, compared
 
